@@ -24,6 +24,12 @@ from .sampling import RngStream, derive_seed, sample_fourier_frequencies, sample
 __all__ = ["ExperimentConfig", "main"]
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "kernel-eval", "feature-sample")
+# Flags an experiment is built for and cannot vary; other values are rejected.
+FIXED_FLAGS = {
+    "fig1": {"dim": 1},
+    "fig2": {"dim": 1},
+    "fig3": {"alpha": 0, "dim": 1, "radius": 1.0},
+}
 INVERSION_JITTER = 1e-10
 GRID_POINTS = 512
 
@@ -135,12 +141,11 @@ def run_fig1(cfg: ExperimentConfig) -> None:
         f"     '{cfg.out}' using 3:(strcol(2) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
 
 
-def _frobenius_error(K_train, K_test, Kh_train, Kh_test) -> float:
+def _interpolator(K_train, K_test) -> np.ndarray:
+    """Interpolation operator K_test (K_train + jI)^{-1}, one row per test point."""
     n = K_train.shape[0]
-    eye = np.eye(n)
-    exact = sla.cho_solve(sla.cho_factor(K_train + INVERSION_JITTER * eye, lower=True), K_test.T).T
-    approx = sla.cho_solve(sla.cho_factor(Kh_train + INVERSION_JITTER * eye, lower=True), Kh_test.T).T
-    return float(np.linalg.norm(exact - approx, ord="fro") ** 2)
+    factor = sla.cho_factor(K_train + INVERSION_JITTER * np.eye(n), lower=True)
+    return sla.cho_solve(factor, K_test.T).T
 
 
 def run_fig2(cfg: ExperimentConfig) -> None:
@@ -156,7 +161,7 @@ def run_fig2(cfg: ExperimentConfig) -> None:
         X = data_rng.uniform(-cfg.R, cfg.R, size=(n, 1))
         K = kernel_matrix(X, X, spec)
         K = 0.5 * (K + K.T)
-        K_test = kernel_matrix(test, X, spec)
+        exact = _interpolator(K, kernel_matrix(test, X, spec))
         for m in m_grid:
             nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-nn", rep, m)))
             f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-fourier", rep, m)))
@@ -164,7 +169,7 @@ def run_fig2(cfg: ExperimentConfig) -> None:
                 Kh = approx_kernel(X, X, ens)
                 Kh = 0.5 * (Kh + Kh.T)
                 Kh_test = approx_kernel(test, X, ens)
-                err = _frobenius_error(K, K_test, Kh, Kh_test)
+                err = float(np.linalg.norm(exact - _interpolator(Kh, Kh_test), ord="fro") ** 2)
                 rows.append((m, rep, method, err))
     metadata = [("experiment", "fig2"), ("alpha", cfg.alpha), ("radius", cfg.R),
                 ("n", n), ("reps", reps), ("m_grid", " ".join(str(m) for m in m_grid)),
@@ -270,10 +275,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     out = args.out
     if out is None:
         out = "-" if args.experiment in ("kernel-eval", "feature-sample") else f"{args.experiment}.csv"
+    for flag, value in FIXED_FLAGS.get(args.experiment, {}).items():
+        if getattr(args, flag) != value:
+            parser.error(f"{args.experiment} only supports --{flag} {value}, "
+                         f"got {getattr(args, flag)}")
     cfg = ExperimentConfig(
         experiment=args.experiment, alpha=args.alpha, d=args.dim, R=args.radius,
         n=args.n, m_grid=tuple(args.m) if args.m else (), lam=args.lam,

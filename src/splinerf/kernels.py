@@ -223,9 +223,19 @@ def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     pol = np.broadcast_to(pol, dot.shape).copy()
     if kind == "pol_only":
         return pol
-    dist_sq = np.maximum(sq_a + sq_b - 2.0 * dot, 0.0)
-    dist = np.sqrt(dist_sq)
-    return pol + c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+    # Same operations in the same order as the expression
+    # pol + c * sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))^(2 alpha + 1) / R,
+    # but in place, so `dist` is the only array allocated after `pol`.
+    dist = sq_a + sq_b
+    dot *= 2.0
+    dist -= dot
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    np.power(dist, 2 * spec.alpha + 1, out=dist)
+    dist *= c_alpha(spec)
+    dist /= spec.R
+    pol += dist
+    return pol
 
 
 def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:

@@ -105,7 +105,12 @@ def fourier_leverage(omega, lam: float):
 
 
 class GridLeverageEstimator:
-    """Grid estimator phi^T (K + n lam I)^{-1} phi, with K factorized once."""
+    """Grid estimator phi^T (K + n lam I)^{-1} phi, with K factorized once.
+
+    ``scores(Phi)`` scores every column of an (n, k) matrix of feature values
+    with one multi-right-hand-side solve on the stored factor; ``score_values``
+    and ``score`` are its one-column forms.
+    """
 
     def __init__(self, grid, lam: float, spec: KernelSpec | None = None):
         lam = _check_lambda(lam)
@@ -120,11 +125,21 @@ class GridLeverageEstimator:
         self._factor = sla.cho_factor(K + n * lam * np.eye(n), lower=True,
                                       check_finite=False)
 
+    def scores(self, Phi) -> np.ndarray:
+        """Scores of the columns of Phi, shape (n, k), as a length-k array.
+
+        Phi is solved in Fortran order so each column is contiguous, which
+        keeps every score bit-identical to a one-column solve.
+        """
+        Phi = np.asfortranarray(Phi, dtype=float)
+        if Phi.ndim != 2 or Phi.shape[0] != self.grid.size:
+            raise ValueError(f"feature values must have shape ({self.grid.size}, k), "
+                             f"got {Phi.shape}")
+        Z = sla.cho_solve(self._factor, Phi, check_finite=False)
+        return np.array([Phi[:, j] @ Z[:, j] for j in range(Phi.shape[1])])
+
     def score_values(self, phi) -> float:
-        phi = np.asarray(phi, dtype=float).ravel()
-        if phi.size != self.grid.size:
-            raise ValueError("feature values must match the grid size")
-        return float(phi @ sla.cho_solve(self._factor, phi, check_finite=False))
+        return float(self.scores(np.reshape(phi, (-1, 1)))[0])
 
     def score(self, feature, param) -> float:
         return self.score_values(feature(self.grid, param))
@@ -176,6 +191,19 @@ def oracle_leverage(g, lam: float, n: int = 4096) -> float:
     return float(0.5 * np.sum(w * gv * sol.values))
 
 
+def _feature_matrix(features, grid, params) -> np.ndarray:
+    """Fortran-ordered matrix with one column feature(grid, p) per feature and param.
+
+    Columns are filled one call at a time, feature-major, so every column holds
+    exactly the values a single-feature score would see.
+    """
+    Phi = np.empty((grid.size, len(features) * len(params)), order="F")
+    for i, feature in enumerate(features):
+        for j, param in enumerate(params):
+            Phi[:, i * len(params) + j] = feature(grid, param)
+    return Phi
+
+
 @dataclass(frozen=True)
 class LeverageProfile:
     """Analytic and empirical scores over a parameter grid at fixed lambda."""
@@ -196,7 +224,7 @@ def nn_profile(lam: float, n: int = 4096, n_params: int = 201,
     params = np.linspace(-1.0, 1.0, n_params)
     analytic = nn_leverage(params, lam)
     step = lambda x, b: (x > b).astype(float)
-    empirical = np.array([estimator.score(step, b) for b in params])
+    empirical = estimator.scores(_feature_matrix([step], estimator.grid, params))
     return LeverageProfile(method="nn", params=params, analytic=analytic,
                            empirical=empirical, lam=lam, n=estimator.grid.size)
 
@@ -209,8 +237,10 @@ def fourier_profiles(lam: float, n: int = 4096, n_params: int = 201,
         estimator = GridLeverageEstimator(np.linspace(-1, 1, n), lam)
     params = np.linspace(0.0, omega_max, n_params)
     cos_scores, sin_scores = fourier_leverage(params, lam)
-    emp_cos = np.array([estimator.score(lambda x, o: np.cos(o * x), o) for o in params])
-    emp_sin = np.array([estimator.score(lambda x, o: np.sin(o * x), o) for o in params])
+    cos = lambda x, o: np.cos(o * x)
+    sin = lambda x, o: np.sin(o * x)
+    emp_cos, emp_sin = np.split(
+        estimator.scores(_feature_matrix([cos, sin], estimator.grid, params)), 2)
     ngrid = estimator.grid.size
     return (
         LeverageProfile("fourier-cos", params, cos_scores, emp_cos, lam, ngrid),

@@ -142,6 +142,29 @@ def test_fig2_m_grid_must_increase():
               "--out", "-"])
 
 
+@pytest.mark.parametrize("experiment, flag, value", [
+    ("fig1", "--dim", "2"),
+    ("fig2", "--dim", "3"),
+    ("fig3", "--dim", "2"),
+    ("fig3", "--alpha", "1"),
+    ("fig3", "--radius", "2.0"),
+])
+def test_fixed_flags_rejected(tmp_path, capsys, experiment, flag, value):
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["--experiment", experiment, flag, value, "--out", str(out)])
+    assert exc.value.code != 0
+    err = capsys.readouterr().err
+    assert f"{experiment} only supports {flag}" in err
+    assert not out.exists()
+
+
+def test_fixed_flags_accept_their_value(tmp_path):
+    out = tmp_path / "fig3.csv"
+    assert main(["--experiment", "fig3", "--n", "64", "--alpha", "0", "--dim", "1",
+                 "--radius", "1", "--out", str(out)]) == 0
+
+
 def test_fig3_small_run(tmp_path):
     out = tmp_path / "fig3.csv"
     assert main(["--experiment", "fig3", "--n", "256", "--out", str(out)]) == 0

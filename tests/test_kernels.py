@@ -308,3 +308,23 @@ def test_kernel_spec_validation():
         KernelSpec(0, 0, 1.0)
     with pytest.raises(ValueError):
         KernelSpec(0, 2, 0.0)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3])
+@pytest.mark.parametrize("d", [1, 3])
+def test_kernel_matrix_in_place_matches_out_of_place(alpha, d):
+    rng = np.random.default_rng(90 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xa = rng.uniform(-0.7, 0.7, (37, d))
+    Xb = np.vstack([Xa[:5], rng.uniform(-0.7, 0.7, (24, d))])  # include zero distances
+    Xa_in, Xb_in = Xa.copy(), Xb.copy()
+    K = kernel_matrix(Xa, Xb, spec)
+    assert np.array_equal(Xa, Xa_in) and np.array_equal(Xb, Xb_in)
+    # the out-of-place expression kernel_matrix evaluates in place
+    sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
+    sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
+    dot = Xa @ Xb.T
+    pol = kernel_matrix(Xa, Xb, spec, kind="pol_only")
+    dist = np.sqrt(np.maximum(sq_a + sq_b - 2.0 * dot, 0.0))
+    expected = pol + c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
+    assert np.array_equal(K, expected)

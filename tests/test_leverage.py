@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from splinerf.leverage import (
     GridLeverageEstimator,
@@ -149,6 +150,42 @@ def test_empirical_edge_cases():
     est = GridLeverageEstimator(grid, 1e-3)
     with pytest.raises(ValueError):
         est.score_values(np.zeros(10))
+
+
+def test_batched_scores_match_single_column_solves():
+    grid = np.linspace(-1, 1, 512)
+    est = GridLeverageEstimator(grid, 1e-3)
+    params = np.linspace(-1.0, 1.0, 23)
+    omegas = np.linspace(0.0, 50.0, 23)
+    columns = ([(grid > b).astype(float) for b in params]
+               + [np.cos(o * grid) for o in omegas]
+               + [np.sin(o * grid) for o in omegas])
+    batched = est.scores(np.column_stack(columns))
+    looped = np.array([phi @ sla.cho_solve(est._factor, phi, check_finite=False)
+                       for phi in columns])
+    assert np.array_equal(batched, looped)
+    assert est.score_values(columns[5]) == looped[5]
+
+
+def test_batched_scores_reject_bad_shapes():
+    est = GridLeverageEstimator(np.linspace(-1, 1, 64), 1e-3)
+    with pytest.raises(ValueError):
+        est.scores(np.ones((63, 3)))
+    with pytest.raises(ValueError):
+        est.scores(np.ones(64))
+
+
+def test_profiles_match_per_parameter_scores():
+    lam = 1e-3
+    est = GridLeverageEstimator(np.linspace(-1, 1, 512), lam)
+    prof = nn_profile(lam, n_params=41, estimator=est)
+    per_param = [est.score(lambda x, b: (x > b).astype(float), b) for b in prof.params]
+    assert np.array_equal(prof.empirical, per_param)
+    cos_prof, sin_prof = fourier_profiles(lam, n_params=41, estimator=est)
+    assert np.array_equal(cos_prof.empirical,
+                          [est.score(lambda x, o: np.cos(o * x), o) for o in cos_prof.params])
+    assert np.array_equal(sin_prof.empirical,
+                          [est.score(lambda x, o: np.sin(o * x), o) for o in sin_prof.params])
 
 
 def test_profile_shapes_and_positivity():
