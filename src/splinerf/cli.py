@@ -13,22 +13,23 @@ import sys
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
 from .kernels import KernelSpec, arccos_kernel, kd, kd_pol, kernel_matrix
 from .leverage import GridLeverageEstimator, fourier_profiles, nn_profile
-from .regression import FitConfig, fit_dual, fit_primal, predict
+from .regression import FitConfig, factor_spd, fit_dual, fit_primal, predict
 from .sampling import RngStream, derive_seed, sample_fourier_frequencies, sample_nn_params
 
 __all__ = ["ExperimentConfig", "main"]
 
 EXPERIMENTS = ("fig1", "fig2", "fig3", "kernel-eval", "feature-sample")
-# Flags an experiment is built for and cannot vary; other values are rejected.
+DEFAULT_LAMBDA = 1e-3
+# Flags an experiment is built for or never reads, with the one value it accepts (None: unset).
 FIXED_FLAGS = {
-    "fig1": {"dim": 1},
-    "fig2": {"dim": 1},
-    "fig3": {"alpha": 0, "dim": 1, "radius": 1.0},
+    "fig1": {"dim": 1, "lambda": DEFAULT_LAMBDA},
+    "fig2": {"dim": 1, "lambda": DEFAULT_LAMBDA},
+    "fig3": {"alpha": 0, "dim": 1, "radius": 1.0, "m": None, "reps": None},
+    "feature-sample": {"alpha": 0},
 }
 INVERSION_JITTER = 1e-10
 GRID_POINTS = 512
@@ -42,7 +43,7 @@ class ExperimentConfig:
     R: float = 1.0
     n: int | None = None
     m_grid: tuple = ()
-    lam: float = 1e-3
+    lam: float = DEFAULT_LAMBDA
     reps: int | None = None
     seed: int = 0
     out: str = ""
@@ -141,13 +142,6 @@ def run_fig1(cfg: ExperimentConfig) -> None:
         f"     '{cfg.out}' using 3:(strcol(2) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
 
 
-def _interpolator(K_train, K_test) -> np.ndarray:
-    """Interpolation operator K_test (K_train + jI)^{-1}, one row per test point."""
-    n = K_train.shape[0]
-    factor = sla.cho_factor(K_train + INVERSION_JITTER * np.eye(n), lower=True)
-    return sla.cho_solve(factor, K_test.T).T
-
-
 def run_fig2(cfg: ExperimentConfig) -> None:
     """Label-averaged interpolation error of both feature maps versus m."""
     spec = KernelSpec(cfg.alpha, 1, cfg.R)
@@ -159,17 +153,16 @@ def run_fig2(cfg: ExperimentConfig) -> None:
     for rep in range(reps):
         data_rng = RngStream(derive_seed(cfg.seed, "fig2-data", rep)).generator()
         X = data_rng.uniform(-cfg.R, cfg.R, size=(n, 1))
-        K = kernel_matrix(X, X, spec)
-        K = 0.5 * (K + K.T)
-        exact = _interpolator(K, kernel_matrix(test, X, spec))
+        # interpolation operators K_test (K + jI)^{-1}, one row per test point
+        exact = factor_spd(kernel_matrix(X, X, spec), INVERSION_JITTER).solve(
+            kernel_matrix(test, X, spec).T).T
         for m in m_grid:
             nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-nn", rep, m)))
             f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-fourier", rep, m)))
             for method, ens in (("nn", nn_ens), ("fourier", f_ens)):
-                Kh = approx_kernel(X, X, ens)
-                Kh = 0.5 * (Kh + Kh.T)
-                Kh_test = approx_kernel(test, X, ens)
-                err = float(np.linalg.norm(exact - _interpolator(Kh, Kh_test), ord="fro") ** 2)
+                approx = factor_spd(approx_kernel(X, X, ens), INVERSION_JITTER).solve(
+                    approx_kernel(test, X, ens).T).T
+                err = float(np.linalg.norm(exact - approx, ord="fro") ** 2)
                 rows.append((m, rep, method, err))
     metadata = [("experiment", "fig2"), ("alpha", cfg.alpha), ("radius", cfg.R),
                 ("n", n), ("reps", reps), ("m_grid", " ".join(str(m) for m in m_grid)),
@@ -261,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--m", type=int, action="append", default=None,
                         help="feature count; repeat the flag for an m-grid")
-    parser.add_argument("--lambda", dest="lam", type=float, default=1e-3)
+    parser.add_argument("--lambda", type=float, default=DEFAULT_LAMBDA)
     parser.add_argument("--reps", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output CSV path ('-' for stdout)")
@@ -282,11 +275,11 @@ def main(argv=None) -> int:
         out = "-" if args.experiment in ("kernel-eval", "feature-sample") else f"{args.experiment}.csv"
     for flag, value in FIXED_FLAGS.get(args.experiment, {}).items():
         if getattr(args, flag) != value:
-            parser.error(f"{args.experiment} only supports --{flag} {value}, "
-                         f"got {getattr(args, flag)}")
+            parser.error(f"{args.experiment} only supports --{flag} "
+                         f"{'unset' if value is None else value}, got {getattr(args, flag)}")
     cfg = ExperimentConfig(
         experiment=args.experiment, alpha=args.alpha, d=args.dim, R=args.radius,
-        n=args.n, m_grid=tuple(args.m) if args.m else (), lam=args.lam,
+        n=args.n, m_grid=tuple(args.m) if args.m else (), lam=getattr(args, "lambda"),
         reps=args.reps, seed=args.seed, out=out, gnuplot=args.gnuplot,
         kind=args.kind, kernel=args.kernel)
     try:

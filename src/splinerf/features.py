@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernels import KernelSpec, UnsupportedOrderError
+from .kernels import KernelSpec, UnsupportedOrderError, _as_points
 from .sampling import (
     FourierFrequencies,
     NNParams,
@@ -77,15 +77,6 @@ class FeatureMatrix:
 
     values: np.ndarray
     scaling: float
-
-
-def _as_points(X, d: int) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] == 0:
-        return X.reshape(0, d)
-    if X.shape[1] != d:
-        raise ValueError(f"points have dimension {X.shape[1]}, ensemble has d={d}")
-    return X
 
 
 def nn_features(X, ensemble: FeatureEnsemble) -> FeatureMatrix:

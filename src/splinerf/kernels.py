@@ -152,28 +152,30 @@ def _pol_from_products(sq_x, sq_y, dot_xy, alpha: int, d: int, R: float):
     return 0.5 * total
 
 
-def _as_points(x, d: int) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    if x.shape[1] != d:
-        raise ValueError(f"points have dimension {x.shape[1]}, spec has d={d}")
+def _as_points(X, d: int) -> np.ndarray:
+    """Points as an (n, d) float array; empty input must still have d columns."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.ndim != 2 or X.shape[1] != d:
+        raise ValueError(f"points have shape {X.shape}, expected (n, {d})")
+    return X
+
+
+def _as_vector(x, d: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float).ravel()
+    if x.size != d:
+        raise ValueError(f"expected vectors of dimension {d}, got {x.size}")
     return x
 
 
 def kd_pol(x, y, spec: KernelSpec) -> float:
     """Polynomial kernel part on the ball, any alpha and d."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != spec.d or y.size != spec.d:
-        raise ValueError(f"expected vectors of dimension {spec.d}")
+    x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
     return float(_pol_from_products(x @ x, y @ y, x @ y, spec.alpha, spec.d, spec.R))
 
 
 def kd(x, y, spec: KernelSpec) -> float:
     """Full kernel value k_pol(x, y) + c(alpha, d) |x - y|^(2 alpha + 1) / R."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != spec.d or y.size != spec.d:
-        raise ValueError(f"expected vectors of dimension {spec.d}")
+    x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
     dist = float(np.linalg.norm(x - y))
     return kd_pol(x, y, spec) + c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
 
@@ -201,10 +203,7 @@ def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
 
 def arccos_kernel(x, y, spec: KernelSpec) -> float:
     """Rotation-invariant kernel of the fully spherical weight normalization."""
-    x = np.asarray(x, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    if x.size != spec.d or y.size != spec.d:
-        raise ValueError(f"expected vectors of dimension {spec.d}")
+    x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
     return float(_arccos_from_products(x @ x, y @ y, x @ y, spec))
 
 

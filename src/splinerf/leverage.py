@@ -18,6 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .kernels import KernelSpec, kernel_matrix
+from .regression import factor_spd
 
 __all__ = [
     "nn_leverage",
@@ -121,9 +122,7 @@ class GridLeverageEstimator:
         self.lam = lam
         self.spec = spec if spec is not None else KernelSpec(0, 1, 1.0)
         K = kernel_matrix(self.grid[:, None], self.grid[:, None], self.spec)
-        K = 0.5 * (K + K.T)
-        self._factor = sla.cho_factor(K + n * lam * np.eye(n), lower=True,
-                                      check_finite=False)
+        self._factor = factor_spd(K, n * lam)
 
     def scores(self, Phi) -> np.ndarray:
         """Scores of the columns of Phi, shape (n, k), as a length-k array.
@@ -135,7 +134,7 @@ class GridLeverageEstimator:
         if Phi.ndim != 2 or Phi.shape[0] != self.grid.size:
             raise ValueError(f"feature values must have shape ({self.grid.size}, k), "
                              f"got {Phi.shape}")
-        Z = sla.cho_solve(self._factor, Phi, check_finite=False)
+        Z = self._factor.solve(Phi)
         return np.array([Phi[:, j] @ Z[:, j] for j in range(Phi.shape[1])])
 
     def score_values(self, phi) -> float:

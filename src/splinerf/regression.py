@@ -10,11 +10,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from .features import FeatureEnsemble, features
-from .kernels import KernelSpec, distance_kernel_matrix, kernel_matrix
+from .kernels import KernelSpec, _as_points, distance_kernel_matrix, kernel_matrix
 
 __all__ = [
     "IllConditionedError",
     "DegenerateDesignError",
+    "SPDFactor",
+    "factor_spd",
     "FitConfig",
     "RegressionModel",
     "monomial_exponents",
@@ -78,28 +80,46 @@ class RegressionModel:
     mu: float = 0.0
 
 
-def _solve_spd(K: np.ndarray, y: np.ndarray, base_jitter: float):
-    """Cholesky solve with the escalation ladder; returns (coeffs, jitter_used)."""
-    n = K.shape[0]
-    eye = np.eye(n)
+@dataclass(frozen=True)
+class SPDFactor:
+    """Cholesky factor of 0.5 (K + K^T) + (shift + escalation) I.
+
+    escalation is the JITTER_LADDER rung the factorization needed (0 if none).
+    """
+
+    factor: tuple
+    escalation: float
+
+    def solve(self, B) -> np.ndarray:
+        """(0.5 (K + K^T) + (shift + escalation) I)^{-1} B for a vector or an (n, k) matrix B."""
+        return sla.cho_solve(self.factor, B, check_finite=False)
+
+
+def factor_spd(K, shift: float = 0.0) -> SPDFactor:
+    """Factor the symmetric part of K plus shift on the diagonal, once, for many solves.
+
+    When Cholesky fails the diagonal is raised by each JITTER_LADDER rung in
+    turn. K is left unmodified: the symmetric part is built in place in one
+    Fortran-ordered array, and LAPACK factors it over itself.
+    """
+    K = np.asarray(K, dtype=float)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {K.shape}")
+    if not np.isfinite(K).all():
+        raise ValueError("matrix has non-finite entries")
     for extra in (0.0,) + JITTER_LADDER:
-        jitter = base_jitter + extra
+        A = np.add(K, K.T, order="F")
+        A *= 0.5
+        A[np.diag_indices_from(A)] += shift + extra
         try:
-            cf = sla.cho_factor(K + jitter * eye, lower=True, check_finite=False)
+            return SPDFactor(sla.cho_factor(A, lower=True, overwrite_a=True,
+                                            check_finite=False), extra)
         except np.linalg.LinAlgError:
             continue
-        return sla.cho_solve(cf, y, check_finite=False), jitter
-    cond = float(np.linalg.cond(K + (base_jitter + JITTER_LADDER[-1]) * eye))
+    top = shift + JITTER_LADDER[-1]
+    cond = float(np.linalg.cond(0.5 * (K + K.T) + top * np.eye(K.shape[0])))
     raise IllConditionedError(
-        f"system singular after jitter escalation to {base_jitter + JITTER_LADDER[-1]:g} "
-        f"(condition estimate {cond:.3e})")
-
-
-def _as_points(X, d: int) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[0] and X.shape[1] != d:
-        raise ValueError(f"points have dimension {X.shape[1]}, expected {d}")
-    return X.reshape(-1, d) if X.size else X.reshape(0, d)
+        f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
 
 
 def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> RegressionModel:
@@ -107,15 +127,16 @@ def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> Regression
     X = _as_points(X, spec.d)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
-    if n < 1 or y.size != n:
-        raise ValueError("need n >= 1 points with matching targets")
+    if y.size != n:
+        raise ValueError("targets must match the number of points")
     K = kernel_matrix(X, X, spec)
-    K = 0.5 * (K + K.T)
     ridge = n * cfg.mu if cfg.mode == "ridge" else 0.0
-    coeffs, jitter_used = _solve_spd(K + ridge * np.eye(n), y, cfg.jitter)
-    residual = float(np.max(np.abs(K @ coeffs - y)))
+    factor = factor_spd(K, ridge + cfg.jitter)
+    coeffs = factor.solve(y)
+    residual = float(np.max(np.abs(K @ coeffs - y), initial=0.0))
     return RegressionModel(kind="dual", X=X, spec=spec, dual_coeffs=coeffs,
-                           jitter_used=jitter_used, residual=residual, mu=cfg.mu)
+                           jitter_used=cfg.jitter + factor.escalation, residual=residual,
+                           mu=cfg.mu)
 
 
 def fit_primal(X, y, ensemble: FeatureEnsemble, cfg: FitConfig = FitConfig()) -> RegressionModel:
@@ -128,17 +149,17 @@ def fit_primal(X, y, ensemble: FeatureEnsemble, cfg: FitConfig = FitConfig()) ->
     X = _as_points(X, ensemble.spec.d)
     y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
-    if n < 1 or y.size != n:
-        raise ValueError("need n >= 1 points with matching targets")
+    if y.size != n:
+        raise ValueError("targets must match the number of points")
     F = features(X, ensemble)
     K_hat = F.scaling * (F.values @ F.values.T)
-    K_hat = 0.5 * (K_hat + K_hat.T)
     ridge = n * cfg.mu if cfg.mode == "ridge" else 0.0
-    coeffs, jitter_used = _solve_spd(K_hat + ridge * np.eye(n), y, cfg.jitter)
-    eta = F.scaling * (F.values.T @ coeffs)
-    residual = float(np.max(np.abs(F.values @ eta - y)))
+    factor = factor_spd(K_hat, ridge + cfg.jitter)
+    eta = F.scaling * (F.values.T @ factor.solve(y))
+    residual = float(np.max(np.abs(F.values @ eta - y), initial=0.0))
     return RegressionModel(kind="primal", X=X, ensemble=ensemble, feature_weights=eta,
-                           jitter_used=jitter_used, residual=residual, mu=cfg.mu)
+                           jitter_used=cfg.jitter + factor.escalation, residual=residual,
+                           mu=cfg.mu)
 
 
 def monomial_exponents(d: int, max_degree: int):
@@ -200,22 +221,13 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
 
 
 def predict(model: RegressionModel, Xtest) -> np.ndarray:
-    """Evaluate a fitted model at test points."""
+    """Evaluate a fitted model at test points (validated by the kernel or feature map)."""
     if model.kind == "dual":
-        X = _as_points(Xtest, model.spec.d)
-        if X.shape[0] == 0:
-            return np.empty(0)
-        return kernel_matrix(X, model.X, model.spec) @ model.dual_coeffs
+        return kernel_matrix(Xtest, model.X, model.spec) @ model.dual_coeffs
     if model.kind == "primal":
-        X = _as_points(Xtest, model.ensemble.spec.d)
-        if X.shape[0] == 0:
-            return np.empty(0)
-        return features(X, model.ensemble).values @ model.feature_weights
+        return features(Xtest, model.ensemble).values @ model.feature_weights
     if model.kind == "constrained_spline":
-        X = _as_points(Xtest, model.spec.d)
-        if X.shape[0] == 0:
-            return np.empty(0)
-        E = distance_kernel_matrix(X, model.X, model.spec)
-        Phi = monomial_matrix(X, monomial_exponents(model.spec.d, model.spec.alpha))
+        E = distance_kernel_matrix(Xtest, model.X, model.spec)
+        Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))
         return E @ model.dual_coeffs + Phi @ model.poly_coeffs
     raise ValueError(f"unknown model kind {model.kind!r}")

@@ -202,33 +202,15 @@ def test_criterion_08_leverage_asymptotics():
 
 
 @pytest.fixture(scope="module")
-def fig2_medians():
-    from splinerf.kernels import kernel_matrix
-
-    spec = KernelSpec(0, 1, 1.0)
-    n, reps, seed = 20, 20, 0
-    m_grid = (32, 64, 128, 256, 512, 1024, 2048)
-    test_pts = np.linspace(-1, 1, 512)[:, None]
-    jit = 1e-10
-    errors = {m: {"nn": [], "fourier": []} for m in m_grid}
-    start = time.perf_counter()
-    for rep in range(reps):
-        data_rng = RngStream(derive_seed(seed, "fig2-data", rep)).generator()
-        X = data_rng.uniform(-1, 1, size=(n, 1))
-        K = kernel_matrix(X, X, spec)
-        K = 0.5 * (K + K.T)
-        exact = sla.cho_solve(sla.cho_factor(K + jit * np.eye(n), lower=True),
-                              kernel_matrix(test_pts, X, spec).T).T
-        for m in m_grid:
-            for method, sampler in (("nn", sample_nn_ensemble),
-                                    ("fourier", sample_fourier_ensemble)):
-                ens = sampler(spec, m, RngStream(derive_seed(seed, f"fig2-{method}", rep, m)))
-                Kh = approx_kernel(X, X, ens)
-                Kh = 0.5 * (Kh + Kh.T)
-                approx = sla.cho_solve(sla.cho_factor(Kh + jit * np.eye(n), lower=True),
-                                       approx_kernel(test_pts, X, ens).T).T
-                errors[m][method].append(np.linalg.norm(exact - approx, ord="fro") ** 2)
-    elapsed = time.perf_counter() - start
+def fig2_medians(fig2_run):
+    """Per-m median errors of both methods, read from the CLI's fig2 CSV."""
+    path, elapsed = fig2_run
+    errors = {}
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.rstrip("\n").split(",") for line in fh if not line.startswith("#")]
+    for m, _rep, method, err in rows[1:]:
+        errors.setdefault(int(m), {"nn": [], "fourier": []})[method].append(float(err))
+    m_grid = tuple(errors)
     med = {method: np.array([np.median(errors[m][method]) for m in m_grid])
            for method in ("nn", "fourier")}
     return m_grid, med, elapsed

@@ -148,6 +148,11 @@ def test_fig2_m_grid_must_increase():
     ("fig3", "--dim", "2"),
     ("fig3", "--alpha", "1"),
     ("fig3", "--radius", "2.0"),
+    ("fig3", "--m", "64"),
+    ("fig3", "--reps", "3"),
+    ("fig1", "--lambda", "0.1"),
+    ("fig2", "--lambda", "1e-6"),
+    ("feature-sample", "--alpha", "2"),
 ])
 def test_fixed_flags_rejected(tmp_path, capsys, experiment, flag, value):
     out = tmp_path / "out.csv"
@@ -163,6 +168,14 @@ def test_fixed_flags_accept_their_value(tmp_path):
     out = tmp_path / "fig3.csv"
     assert main(["--experiment", "fig3", "--n", "64", "--alpha", "0", "--dim", "1",
                  "--radius", "1", "--out", str(out)]) == 0
+
+
+def test_unread_flags_accept_their_default(tmp_path):
+    out = tmp_path / "fig1.csv"
+    assert main(["--experiment", "fig1", "--n", "4", "--m", "8", "--reps", "1",
+                 "--lambda", "0.001", "--out", str(out)]) == 0
+    out = tmp_path / "fs.csv"
+    assert main(["--experiment", "feature-sample", "--alpha", "0", "--out", str(out)]) == 0
 
 
 def test_fig3_small_run(tmp_path):

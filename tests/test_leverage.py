@@ -161,7 +161,7 @@ def test_batched_scores_match_single_column_solves():
                + [np.cos(o * grid) for o in omegas]
                + [np.sin(o * grid) for o in omegas])
     batched = est.scores(np.column_stack(columns))
-    looped = np.array([phi @ sla.cho_solve(est._factor, phi, check_finite=False)
+    looped = np.array([phi @ sla.cho_solve(est._factor.factor, phi, check_finite=False)
                        for phi in columns])
     assert np.array_equal(batched, looped)
     assert est.score_values(columns[5]) == looped[5]

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from splinerf.features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
+from splinerf.features import (
+    approx_kernel,
+    nn_features,
+    sample_fourier_ensemble,
+    sample_nn_ensemble,
+)
 from splinerf.kernels import KernelSpec, kernel_matrix
 from splinerf.regression import (
+    JITTER_LADDER,
     DegenerateDesignError,
     FitConfig,
+    IllConditionedError,
+    factor_spd,
     fit_constrained_spline,
     fit_dual,
     fit_primal,
@@ -207,3 +215,96 @@ def test_fit_config_validation():
         FitConfig(mode="banana")
     with pytest.raises(ValueError):
         FitConfig(mu=-1.0)
+
+
+def _inline_cholesky_solve(K, shift, B):
+    # the symmetrize-shift-factor sequence factor_spd replaced, written out
+    n = K.shape[0]
+    cf = sla.cho_factor(0.5 * (K + K.T) + shift * np.eye(n), lower=True)
+    return sla.cho_solve(cf, B)
+
+
+def test_factor_spd_matches_inline_cholesky():
+    rng = np.random.default_rng(11)
+    # fig2-sized d = 1 Gram, with fig2's jitter and its 512 test-point columns
+    spec1 = KernelSpec(0, 1, 1.0)
+    X1 = rng.uniform(-1, 1, (20, 1))
+    B1 = kernel_matrix(np.linspace(-1, 1, 512)[:, None], X1, spec1).T
+    # alpha = 3, d = 3: the assembled Gram is symmetric only up to rounding
+    spec3 = KernelSpec(3, 3, 1.0)
+    X3 = rng.uniform(-0.5, 0.5, (60, 3))
+    K3 = kernel_matrix(X3, X3, spec3)
+    assert not np.array_equal(K3, K3.T)
+    cases = [(kernel_matrix(X1, X1, spec1), 1e-10, B1),
+             (K3, 1e-6, rng.standard_normal((60, 4))),
+             (K3, 1e-6, rng.standard_normal(60))]
+    for K, shift, B in cases:
+        before = K.copy()
+        factor = factor_spd(K, shift)
+        assert factor.escalation == 0.0
+        assert np.array_equal(factor.solve(B), _inline_cholesky_solve(K, shift, B))
+        assert np.array_equal(K, before)
+
+
+def test_factor_spd_escalates_and_fit_reports_the_rung():
+    assert factor_spd(np.eye(4)).escalation == 0.0
+    rung = factor_spd(np.ones((5, 5))).escalation
+    assert rung in JITTER_LADDER
+    # five copies of one point: K = k(0, 0) * ones = 0.5 * ones, singular
+    spec = KernelSpec(0, 1, 1.0)
+    X = np.zeros((5, 1))
+    rung_half = factor_spd(kernel_matrix(X, X, spec)).escalation
+    assert rung_half in JITTER_LADDER
+    assert fit_dual(X, np.ones(5), spec).jitter_used == rung_half
+    model = fit_dual(X, np.ones(5), spec, FitConfig(jitter=1e-13))
+    assert model.jitter_used == 1e-13 + factor_spd(kernel_matrix(X, X, spec), 1e-13).escalation
+
+
+def test_factor_spd_rejects_bad_matrices():
+    with pytest.raises(IllConditionedError):
+        factor_spd(-np.eye(3))
+    K = np.eye(3)
+    K[0, 2] = np.nan
+    with pytest.raises(ValueError) as exc:
+        factor_spd(K)
+    assert not isinstance(exc.value, IllConditionedError)
+    with pytest.raises(ValueError):
+        factor_spd(np.ones((1, 5)))
+
+
+D = 2
+
+
+def _points_consumers():
+    spec = KernelSpec(1, D, 1.0)
+    ens = sample_nn_ensemble(spec, 8, RngStream(3))
+    X = np.random.default_rng(4).uniform(-0.6, 0.6, (8, D))
+    y = X[:, 0] - X[:, 1]
+    models = {
+        "dual": fit_dual(X, y, spec),
+        "primal": fit_primal(X, y, ens, FitConfig(mode="ridge", mu=1e-6)),
+        "constrained_spline": fit_constrained_spline(X, y, spec),
+    }
+    consumers = {
+        "kernel_matrix": lambda P: kernel_matrix(P, P, spec),
+        "nn_features": lambda P: nn_features(P, ens).values,
+        "fit_dual": lambda P: fit_dual(P, np.zeros(P.shape[0]), spec).dual_coeffs,
+    }
+    for kind, model in models.items():
+        consumers[f"predict_{kind}"] = lambda P, model=model: predict(model, P)
+    return consumers
+
+
+CONSUMERS = sorted(_points_consumers())
+
+
+@pytest.mark.parametrize("shape", [(3, D + 1), (0, D + 1)])
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_points_of_wrong_dimension_rejected(name, shape):
+    with pytest.raises(ValueError):
+        _points_consumers()[name](np.zeros(shape))
+
+
+@pytest.mark.parametrize("name", CONSUMERS)
+def test_empty_points_give_empty_result(name):
+    assert _points_consumers()[name](np.zeros((0, D))).size == 0
