@@ -9,11 +9,12 @@ from .kernels import (
     c_alpha,
     distance_kernel_matrix,
     gram,
-    k1_pol,
     kd,
     kd_pol,
     kernel_matrix,
     make_profile,
+    monomial_exponents,
+    monomial_matrix,
     rkhs_norm_1d,
     spline_fourier_constant,
 )
@@ -30,13 +31,10 @@ from .features import (
 from .leverage import (
     GridLeverageEstimator,
     LeverageProfile,
-    empirical_leverage,
     fourier_leverage,
     fourier_profiles,
     nn_leverage,
     nn_profile,
-    oracle_leverage,
-    solve_regularized_operator,
 )
 from .regression import (
     DegenerateDesignError,
@@ -46,8 +44,6 @@ from .regression import (
     fit_constrained_spline,
     fit_dual,
     fit_primal,
-    monomial_exponents,
-    monomial_matrix,
     predict,
 )
 from .sampling import (

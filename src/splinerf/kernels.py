@@ -1,17 +1,20 @@
 """Closed-form spline kernels on the Euclidean ball and their building blocks.
 
 The main kernel splits as k = k_pol + c(alpha, d) * |x - y|^(2*alpha + 1) / R.
-The polynomial part is evaluated for every (alpha, d) by reducing sphere
-moments to bivariate Gaussian moments (Isserlis recursion divided by the
-chi moment E|g|^k), which reproduces the displayed alpha <= 2 forms exactly
-and needs no sampling.
+The polynomial part has degree <= alpha in each argument, so on the monomial
+basis M of degree <= alpha (C(d + alpha, alpha) columns, the same basis the
+constrained spline solve uses) it is exactly k_pol(Xa, Xb) = M(Xa) C M(Xb)^T,
+with an r x r coefficient matrix C built once per KernelSpec from exact
+sphere moments.  No sampling is involved.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from math import comb
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 import numpy as np
 from scipy.special import gammaln
@@ -23,7 +26,8 @@ __all__ = [
     "Derivative1DProfile",
     "c_alpha",
     "spline_fourier_constant",
-    "k1_pol",
+    "monomial_exponents",
+    "monomial_matrix",
     "kd_pol",
     "kd",
     "arccos_kernel",
@@ -89,67 +93,61 @@ def spline_fourier_constant(spec: KernelSpec) -> float:
     return float(np.exp(lg_b)) / (4.0 * np.sqrt(np.pi))
 
 
-def k1_pol(x, y, alpha: int, R: float):
-    """Polynomial kernel part in dimension one, O(alpha^2) double sum.
+def monomial_exponents(d: int, max_degree: int):
+    """Multi-indices of total degree <= max_degree, graded lexicographic order."""
+    exps = []
+    for degree in range(max_degree + 1):
+        for combo in combinations_with_replacement(range(d), degree):
+            e = [0] * d
+            for idx in combo:
+                e[idx] += 1
+            exps.append(tuple(e))
+    return exps
 
-    Equals (1/4R) * integral of (x-b)^alpha (y-b)^alpha over b in [-R, R].
+
+def monomial_matrix(X, exponents) -> np.ndarray:
+    """M[i, k] = prod_j X[i, j] ** exponents[k][j], shape (n, len(exponents))."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    E = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), X.shape[1])
+    return np.prod(X[:, None, :] ** E[None], axis=2)
+
+
+@lru_cache(maxsize=32)
+def _pol_coefficients(spec: KernelSpec):
+    """Exponents E (r x d) and the r x r matrix C with k_pol(x, y) = M(x) C M(y)^T.
+
+    Expanding (u.x)^i (u.y)^j over monomials in the sphere-moment form
+    k_pol = 1/2 sum_(i, j <= alpha) R^(2 alpha - i - j) / (2 alpha + 1 - i - j)
+            C(alpha, i) C(alpha, j) E_u[(u.x)^i (u.y)^j]
+    gives C[e, f] = 1/2 R^(2 alpha - 2s) / (2 alpha + 1 - 2s) C(alpha, |e|)
+    C(alpha, |f|) multinom(e) multinom(f) E_u[u^(e + f)] with 2s = |e| + |f|.
+    For u uniform on the unit sphere, E_u[u^k] = prod_j (k_j - 1)!! /
+    prod_(t < |k|/2) (d + 2t) when every k_j is even, and 0 otherwise.
+    Cached because kd evaluates one pair per call; the arrays are read-only
+    since every caller shares them.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    total = 0.0
-    for s in range(alpha + 1):
-        inner = 0.0
-        for i in range(max(0, 2 * s - alpha), min(alpha, 2 * s) + 1):
-            j = 2 * s - i
-            inner = inner + comb(alpha, i) * comb(alpha, j) * x ** i * y ** j
-        total = total + R ** (2 * alpha - 2 * s) / (2 * alpha + 1 - 2 * s) * inner
-    return 0.5 * total
+    a, d = spec.alpha, spec.d
+    exps = monomial_exponents(d, a)
+    E = np.array(exps, dtype=np.int64)
+    weight = np.array([comb(a, sum(e)) * factorial(sum(e)) // prod(map(factorial, e))
+                       for e in exps], dtype=float)
+    # (k - 1)!! at even k, 0 at odd k, for each exponent 0..2 alpha of one coordinate
+    even_moment = np.array([prod(range(k - 1, 0, -2)) if k % 2 == 0 else 0
+                            for k in range(2 * a + 1)], dtype=float)
+    rising = np.cumprod([1.0] + [d + 2.0 * t for t in range(a)])
+    K = E[:, None, :] + E[None, :, :]
+    s = K.sum(axis=2) // 2
+    moment = even_moment[K].prod(axis=2) / rising[s]  # E_u[u^(e + f)]
+    C = 0.5 * spec.R ** (2 * a - 2 * s) / (2 * a + 1 - 2 * s) * np.outer(weight, weight) * moment
+    E.setflags(write=False)
+    C.setflags(write=False)
+    return E, C
 
 
-def _chi_moment(d: int, k: int) -> float:
-    # E |g|^k for g standard Gaussian in R^d.
-    return float(np.exp(0.5 * k * np.log(2.0) + gammaln((d + k) / 2.0) - gammaln(d / 2.0)))
-
-
-def _gauss_mixed_moments(a, b, c, kmax: int):
-    """Raw moments E[U^i V^j] of a centred Gaussian pair, cov [[a, c], [c, b]].
-
-    Isserlis recursion E[U^i V^j] = (i-1) a E[U^(i-2) V^j] + j c E[U^(i-1) V^(j-1)].
-    a, b, c may be arrays; the table holds arrays of the same shape.
-    """
-    one = np.ones_like(np.asarray(a, dtype=float))
-    table = [[None] * (kmax + 1) for _ in range(kmax + 1)]
-    table[0][0] = one
-    for i in range(kmax + 1):
-        for j in range(kmax + 1):
-            if i == 0 and j == 0:
-                continue
-            if (i + j) % 2 == 1:
-                table[i][j] = np.zeros_like(one)
-            elif i == 0:
-                table[i][j] = (j - 1) * b * table[0][j - 2]
-            else:
-                acc = np.zeros_like(one)
-                if i >= 2:
-                    acc = acc + (i - 1) * a * table[i - 2][j]
-                if j >= 1:
-                    acc = acc + j * c * table[i - 1][j - 1]
-                table[i][j] = acc
-    return table
-
-
-def _pol_from_products(sq_x, sq_y, dot_xy, alpha: int, d: int, R: float):
-    """Polynomial kernel part from |x|^2, |y|^2 and x.y (arrays allowed)."""
-    moments = _gauss_mixed_moments(sq_x, sq_y, dot_xy, alpha)
-    total = 0.0
-    for s in range(alpha + 1):
-        inner = 0.0
-        chi = _chi_moment(d, 2 * s)
-        for i in range(max(0, 2 * s - alpha), min(alpha, 2 * s) + 1):
-            j = 2 * s - i
-            inner = inner + comb(alpha, i) * comb(alpha, j) * moments[i][j] / chi
-        total = total + R ** (2 * alpha - 2 * s) / (2 * alpha + 1 - 2 * s) * inner
-    return 0.5 * total
+def _pol_part(Xa, Xb, spec: KernelSpec) -> np.ndarray:
+    """k_pol(Xa[i], Xb[j]) as M(Xa) C M(Xb)^T on the shared monomial basis."""
+    E, C = _pol_coefficients(spec)
+    return monomial_matrix(Xa, E) @ C @ monomial_matrix(Xb, E).T
 
 
 def _as_points(X, d: int) -> np.ndarray:
@@ -170,7 +168,7 @@ def _as_vector(x, d: int) -> np.ndarray:
 def kd_pol(x, y, spec: KernelSpec) -> float:
     """Polynomial kernel part on the ball, any alpha and d."""
     x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
-    return float(_pol_from_products(x @ x, y @ y, x @ y, spec.alpha, spec.d, spec.R))
+    return float(_pol_part(x, y, spec)[0, 0])
 
 
 def kd(x, y, spec: KernelSpec) -> float:
@@ -213,18 +211,17 @@ def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
         raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
     Xa = _as_points(Xa, spec.d)
     Xb = _as_points(Xb, spec.d)
+    if kind == "pol_only":
+        return _pol_part(Xa, Xb, spec)
     sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
     sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
     dot = Xa @ Xb.T
     if kind == "arccos":
         return np.asarray(_arccos_from_products(sq_a, sq_b, dot, spec))
-    pol = np.asarray(_pol_from_products(sq_a, sq_b, dot, spec.alpha, spec.d, spec.R))
-    pol = np.broadcast_to(pol, dot.shape).copy()
-    if kind == "pol_only":
-        return pol
+    pol = _pol_part(Xa, Xb, spec)
     # Same operations in the same order as the expression
     # pol + c * sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))^(2 alpha + 1) / R,
-    # but in place, so `dist` is the only array allocated after `pol`.
+    # but in place, so `dist` is the only array allocated after `dot` and `pol`.
     dist = sq_a + sq_b
     dot *= 2.0
     dist -= dot
@@ -239,11 +236,13 @@ def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
 
 def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:
     """Conditionally positive distance kernel c(alpha, d) |x - y|^(2 alpha + 1) / R."""
+    # scipy.spatial is imported on first use: it adds about 5 MiB and 70 ms to
+    # `import splinerf`, which fig1, fig2 and fig3 would pay without calling this.
+    from scipy.spatial.distance import cdist
+
     Xa = _as_points(Xa, spec.d)
     Xb = _as_points(Xb, spec.d)
-    diff = Xa[:, None, :] - Xb[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
-    return c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+    return c_alpha(spec) * cdist(Xa, Xb) ** (2 * spec.alpha + 1) / spec.R
 
 
 def gram(points, spec: KernelSpec, kind: str = "nn", jitter: float = 0.0) -> GramMatrix:

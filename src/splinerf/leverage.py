@@ -3,9 +3,9 @@
 A feature g scores <g, (S + lam I)^{-1} g> in L2 of the uniform measure on
 [-1, 1], where S is the integral operator of the step-activation kernel,
 S f(x) = 1/4 int f - 1/8 int |x - y| f(y) dy.  Closed forms come from solving
-g'' = lam f'' - f/4 with the boundary relations tying f to g; everything here
-is cross-validated against a dense discretization of S (``oracle_leverage``)
-and against the grid estimator of ``empirical_leverage``.
+g'' = lam f'' - f/4 with the boundary relations tying f to g.  The grid
+estimator scores features against the factored Gram matrix of the same
+kernel; the tests check both against a dense discretization of S.
 
 General radii are handled by callers rescaling inputs to [-1, 1].
 """
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from .kernels import KernelSpec, kernel_matrix
 from .regression import factor_spd
@@ -24,10 +23,6 @@ __all__ = [
     "nn_leverage",
     "fourier_leverage",
     "GridLeverageEstimator",
-    "empirical_leverage",
-    "GridFunction",
-    "solve_regularized_operator",
-    "oracle_leverage",
     "LeverageProfile",
     "nn_profile",
     "fourier_profiles",
@@ -142,52 +137,6 @@ class GridLeverageEstimator:
 
     def score(self, feature, param) -> float:
         return self.score_values(feature(self.grid, param))
-
-
-def empirical_leverage(feature, param, lam: float, grid, spec: KernelSpec | None = None) -> float:
-    """One-shot grid estimate of the leverage score of feature(x, param)."""
-    return GridLeverageEstimator(grid, lam, spec).score(feature, param)
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """Function sampled on a grid; calling it interpolates linearly."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, t):
-        return np.interp(t, self.x, self.values)
-
-
-def solve_regularized_operator(g, lam: float, n: int = 4096) -> GridFunction:
-    """Solve (S + lam I) f = g on [-1, 1] by trapezoid discretization of S.
-
-    Independent of the closed forms above: S is materialized as the dense
-    matrix K_ij w_j / 2 and the system solved directly.
-    """
-    lam = _check_lambda(lam)
-    if n < 16:
-        raise ValueError(f"operator grid needs n >= 16 points, got {n}")
-    x = np.linspace(-1.0, 1.0, n)
-    w = np.full(n, 2.0 / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    K = 0.5 - 0.25 * np.abs(x[:, None] - x[None, :])
-    M = K * (w[None, :] / 2.0) + lam * np.eye(n)
-    gv = np.asarray(g(x), dtype=float)
-    f = sla.solve(M, gv, check_finite=False)
-    return GridFunction(x=x, values=f)
-
-
-def oracle_leverage(g, lam: float, n: int = 4096) -> float:
-    """Leverage score <g, (S + lam I)^{-1} g> / |measure| via the operator solve."""
-    sol = solve_regularized_operator(g, lam, n)
-    w = np.full(n, 2.0 / (n - 1))
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    gv = np.asarray(g(sol.x), dtype=float)
-    return float(0.5 * np.sum(w * gv * sol.values))
 
 
 def _feature_matrix(features, grid, params) -> np.ndarray:

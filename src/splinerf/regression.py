@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 import scipy.linalg as sla
 
 from .features import FeatureEnsemble, features
-from .kernels import KernelSpec, _as_points, distance_kernel_matrix, kernel_matrix
+from .kernels import (KernelSpec, _as_points, distance_kernel_matrix, kernel_matrix,
+                      monomial_exponents, monomial_matrix)
 
 __all__ = [
     "IllConditionedError",
@@ -19,8 +19,6 @@ __all__ = [
     "factor_spd",
     "FitConfig",
     "RegressionModel",
-    "monomial_exponents",
-    "monomial_matrix",
     "fit_dual",
     "fit_primal",
     "fit_constrained_spline",
@@ -160,24 +158,6 @@ def fit_primal(X, y, ensemble: FeatureEnsemble, cfg: FitConfig = FitConfig()) ->
     return RegressionModel(kind="primal", X=X, ensemble=ensemble, feature_weights=eta,
                            jitter_used=cfg.jitter + factor.escalation, residual=residual,
                            mu=cfg.mu)
-
-
-def monomial_exponents(d: int, max_degree: int):
-    """Multi-indices of total degree <= max_degree, graded lexicographic order."""
-    exps = []
-    for degree in range(max_degree + 1):
-        for combo in combinations_with_replacement(range(d), degree):
-            e = [0] * d
-            for idx in combo:
-                e[idx] += 1
-            exps.append(tuple(e))
-    return exps
-
-
-def monomial_matrix(X, exponents) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    cols = [np.prod(X ** np.asarray(e)[None, :], axis=1) for e in exponents]
-    return np.stack(cols, axis=1) if cols else np.empty((X.shape[0], 0))
 
 
 def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mode="constrained_spline")) -> RegressionModel:

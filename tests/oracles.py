@@ -2,10 +2,17 @@
 
 Everything here deliberately avoids the library's closed-form code paths:
 adaptive Gauss-Legendre quadrature, chunked Monte Carlo over explicit feature
-draws, and a cumulative-quadrature CDF for the frequency density.
+draws, a cumulative-quadrature CDF for the frequency density, the polynomial
+kernel part through bivariate Gaussian moments, and a dense discretization of
+the leverage integral operator.
 """
 
+from dataclasses import dataclass
+from math import comb
+
 import numpy as np
+import scipy.linalg as sla
+from scipy.special import gammaln
 
 _GL_LOW = np.polynomial.legendre.leggauss(10)
 _GL_HIGH = np.polynomial.legendre.leggauss(20)
@@ -147,3 +154,124 @@ def tau_cdf_by_quadrature(R, tau_max=3000.0, n_grid=600_001):
         return 0.5 + np.sign(x) * pos_half
 
     return cdf, tail_mass
+
+
+def k1_pol(x, y, alpha, R):
+    """Polynomial kernel part in dimension one, O(alpha^2) double sum.
+
+    Equals (1/4R) * integral of (x-b)^alpha (y-b)^alpha over b in [-R, R].
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    total = 0.0
+    for s in range(alpha + 1):
+        inner = 0.0
+        for i in range(max(0, 2 * s - alpha), min(alpha, 2 * s) + 1):
+            j = 2 * s - i
+            inner = inner + comb(alpha, i) * comb(alpha, j) * x ** i * y ** j
+        total = total + R ** (2 * alpha - 2 * s) / (2 * alpha + 1 - 2 * s) * inner
+    return 0.5 * total
+
+
+def _chi_moment(d, k):
+    # E |g|^k for g standard Gaussian in R^d.
+    return float(np.exp(0.5 * k * np.log(2.0) + gammaln((d + k) / 2.0) - gammaln(d / 2.0)))
+
+
+def _gauss_mixed_moments(a, b, c, kmax):
+    """Raw moments E[U^i V^j] of a centred Gaussian pair, cov [[a, c], [c, b]].
+
+    Isserlis recursion E[U^i V^j] = (i-1) a E[U^(i-2) V^j] + j c E[U^(i-1) V^(j-1)].
+    a, b, c may be arrays; the table holds arrays of the same shape.
+    """
+    one = np.ones_like(np.asarray(a, dtype=float))
+    table = [[None] * (kmax + 1) for _ in range(kmax + 1)]
+    table[0][0] = one
+    for i in range(kmax + 1):
+        for j in range(kmax + 1):
+            if i == 0 and j == 0:
+                continue
+            if (i + j) % 2 == 1:
+                table[i][j] = np.zeros_like(one)
+            elif i == 0:
+                table[i][j] = (j - 1) * b * table[0][j - 2]
+            else:
+                acc = np.zeros_like(one)
+                if i >= 2:
+                    acc = acc + (i - 1) * a * table[i - 2][j]
+                if j >= 1:
+                    acc = acc + j * c * table[i - 1][j - 1]
+                table[i][j] = acc
+    return table
+
+
+def pol_kernel_gaussian(Xa, Xb, alpha, R):
+    """Polynomial kernel part k_pol(Xa[i], Xb[j]) from |x|^2, |y|^2 and x.y.
+
+    The sphere moment E_u[(u.x)^i (u.y)^j] is the Gaussian moment of
+    (g.x, g.y), g standard normal, from the Isserlis recursion, divided by the
+    chi moment E|g|^(i + j).  Shares no code with the monomial form.
+    """
+    Xa = np.atleast_2d(np.asarray(Xa, dtype=float))
+    Xb = np.atleast_2d(np.asarray(Xb, dtype=float))
+    d = Xa.shape[1]
+    sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
+    sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
+    dot = Xa @ Xb.T
+    moments = _gauss_mixed_moments(sq_a, sq_b, dot, alpha)
+    total = np.zeros_like(dot)
+    for s in range(alpha + 1):
+        inner = 0.0
+        chi = _chi_moment(d, 2 * s)
+        for i in range(max(0, 2 * s - alpha), min(alpha, 2 * s) + 1):
+            j = 2 * s - i
+            inner = inner + comb(alpha, i) * comb(alpha, j) * moments[i][j] / chi
+        total = total + R ** (2 * alpha - 2 * s) / (2 * alpha + 1 - 2 * s) * inner
+    return 0.5 * total
+
+
+@dataclass(frozen=True)
+class GridFunction:
+    """Function sampled on a grid; calling it interpolates linearly."""
+
+    x: np.ndarray
+    values: np.ndarray
+
+    def __call__(self, t):
+        return np.interp(t, self.x, self.values)
+
+
+def _trapezoid_weights(n):
+    w = np.full(n, 2.0 / (n - 1))
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def solve_regularized_operator(g, lam, n=4096):
+    """Solve (S + lam I) f = g on [-1, 1] by trapezoid discretization of S.
+
+    S f(x) = 1/4 int f - 1/8 int |x - y| f(y) dy is the integral operator of
+    the alpha = 0, d = 1 kernel, materialized as the dense matrix K_ij w_j / 2
+    and solved directly, independent of the closed forms and the grid estimator.
+    """
+    lam = float(lam)
+    if not lam > 0:
+        raise ValueError(f"regularization lambda must be positive, got {lam}")
+    if n < 16:
+        raise ValueError(f"operator grid needs n >= 16 points, got {n}")
+    x = np.linspace(-1.0, 1.0, n)
+    w = _trapezoid_weights(n)
+    K = 0.5 - 0.25 * np.abs(x[:, None] - x[None, :])
+    M = K * (w[None, :] / 2.0) + lam * np.eye(n)
+    gv = np.asarray(g(x), dtype=float)
+    f = sla.solve(M, gv, check_finite=False)
+    return GridFunction(x=x, values=f)
+
+
+def oracle_leverage(g, lam, n=4096):
+    """Leverage score <g, (S + lam I)^{-1} g> / |measure| via the operator solve."""
+    sol = solve_regularized_operator(g, lam, n)
+    w = _trapezoid_weights(n)
+    gv = np.asarray(g(sol.x), dtype=float)
+    return float(0.5 * np.sum(w * gv * sol.values))

@@ -91,9 +91,10 @@ def test_seventeen_digit_serialization(tmp_path):
     assert float(rows[0][1]) == params.biases[0]
 
 
-def test_fig1_contracts(tmp_path):
+def test_fig1_contracts(tmp_path, capsys):
     out = tmp_path / "fig1.csv"
     assert main(["--experiment", "fig1", "--seed", "0", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""  # every fit interpolates its training data
     meta, header, rows = _read_csv(out)
     assert header == ["draw", "method", "x", "f"]
     assert any(line.startswith("# experiment=fig1") for line in meta)
@@ -120,6 +121,16 @@ def test_fig1_contracts(tmp_path):
         f_dev = np.max(np.abs(np.array([curves[(d, "fourier")][x] for x in xs]) - exact_arr))
         wins += nn_dev < f_dev
     assert wins >= 3
+
+
+def test_fig1_reports_fits_that_miss_training_data(tmp_path, capsys):
+    # At seed 1 some nn draws put two training points between the same pair of
+    # sampled biases, so their feature rows coincide and the fit cannot interpolate.
+    assert main(["--experiment", "fig1", "--seed", "1", "--out", str(tmp_path / "fig1.csv")]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[1:4] for line in lines] == [
+        ["draw", "0", "nn"], ["draw", "2", "nn"], ["draw", "3", "nn"]]
+    assert all("residual" in line and "jitter_used" in line for line in lines)
 
 
 def test_fig2_small_run(tmp_path):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import mc_arccos_kernel, mc_nn_kernel, nn_kernel_quadrature
+from oracles import k1_pol, mc_arccos_kernel, mc_nn_kernel, nn_kernel_quadrature, pol_kernel_gaussian
 from splinerf.kernels import (
     Derivative1DProfile,
     KernelSpec,
@@ -12,15 +13,15 @@ from splinerf.kernels import (
     c_alpha,
     distance_kernel_matrix,
     gram,
-    k1_pol,
     kd,
     kd_pol,
     kernel_matrix,
     make_profile,
+    monomial_exponents,
+    monomial_matrix,
     rkhs_norm_1d,
     spline_fourier_constant,
 )
-from splinerf.regression import monomial_exponents, monomial_matrix
 
 
 def test_c_alpha_d1_values():
@@ -211,13 +212,14 @@ def test_gram_psd_and_symmetric():
     assert eigs.min() >= -1e-8 * g.entries.diagonal().max()
 
 
-def test_gram_pol_only_rank():
+@pytest.mark.parametrize("alpha,d", [(1, 2), (0, 3), (2, 1), (2, 3), (3, 2), (4, 3)])
+def test_gram_pol_only_rank(alpha, d):
     rng = np.random.default_rng(62)
-    X = rng.uniform(-0.7, 0.7, (50, 2))
-    g = gram(X, KernelSpec(1, 2), kind="pol_only")
+    X = rng.uniform(-0.7, 0.7, (50, d)) * min(1.0, np.sqrt(2.0 / d))  # inside the unit ball
+    g = gram(X, KernelSpec(alpha, d), kind="pol_only")
     svals = np.linalg.svdvals(g.entries)
     rank = int(np.sum(svals > 1e-8 * svals[0]))
-    assert rank <= 3  # polynomials of degree <= 1 in d = 2
+    assert rank <= math.comb(d + alpha, alpha)  # polynomials of degree <= alpha in d variables
 
 
 def test_gram_empty_and_outside_ball():
@@ -328,3 +330,53 @@ def test_kernel_matrix_in_place_matches_out_of_place(alpha, d):
     dist = np.sqrt(np.maximum(sq_a + sq_b - 2.0 * dot, 0.0))
     expected = pol + c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
     assert np.array_equal(K, expected)
+
+
+@pytest.mark.parametrize("alpha", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_pol_part_matches_gaussian_moment_oracle(alpha, d):
+    rng = np.random.default_rng(100 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xa = rng.normal(size=(23, d))
+    Xa *= (spec.R * rng.uniform(0, 1, 23) / np.linalg.norm(Xa, axis=1))[:, None]
+    Xb = np.vstack([Xa[:4], -0.5 * Xa[4:15]])
+    want = pol_kernel_gaussian(Xa, Xb, alpha, spec.R)
+    tol = 1e-13 * np.abs(want).max()
+    K = kernel_matrix(Xa, Xb, spec, kind="pol_only")
+    assert K.shape == want.shape
+    assert np.abs(K - want).max() <= tol
+    for i, j in [(0, 0), (3, 7), (22, 14)]:
+        assert abs(kd_pol(Xa[i], Xb[j], spec) - want[i, j]) <= tol
+
+
+def test_pol_part_alpha0_is_exactly_one_half():
+    X = np.random.default_rng(3).uniform(-0.5, 0.5, (17, 3))
+    assert np.array_equal(kernel_matrix(X, X[:5], KernelSpec(0, 3), kind="pol_only"),
+                          np.full((17, 5), 0.5))
+
+
+def test_kernel_matrix_peak_memory_below_four_outputs():
+    rng = np.random.default_rng(111)
+    X = rng.uniform(-0.5, 0.5, (1000, 3))
+    spec = KernelSpec(6, 3)
+    kernel_matrix(X[:10], X[:10], spec)  # build the cached coefficients outside the window
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        K = kernel_matrix(X, X, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * K.nbytes
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_distance_kernel_matches_difference_array(alpha, d):
+    rng = np.random.default_rng(120 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xa = rng.uniform(-0.7, 0.7, (31, d))
+    Xb = np.vstack([Xa[:5], rng.uniform(-0.7, 0.7, (12, d))])
+    dist = np.linalg.norm(Xa[:, None, :] - Xb[None, :, :], axis=2)
+    expected = c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
+    assert np.array_equal(distance_kernel_matrix(Xa, Xb, spec), expected)

@@ -2,15 +2,13 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+from oracles import oracle_leverage, solve_regularized_operator
 from splinerf.leverage import (
     GridLeverageEstimator,
-    empirical_leverage,
     fourier_leverage,
     fourier_profiles,
     nn_leverage,
     nn_profile,
-    oracle_leverage,
-    solve_regularized_operator,
 )
 
 
@@ -144,7 +142,7 @@ def test_triple_agreement():
 
 def test_empirical_edge_cases():
     grid = np.linspace(-1, 1, 64)
-    assert empirical_leverage(lambda x, p: np.zeros_like(x), None, 1e-3, grid) == 0.0
+    assert GridLeverageEstimator(grid, 1e-3).score(lambda x, p: np.zeros_like(x), None) == 0.0
     with pytest.raises(ValueError):
         GridLeverageEstimator(np.array([0.0]), 1e-3)
     est = GridLeverageEstimator(grid, 1e-3)

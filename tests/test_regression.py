@@ -8,7 +8,7 @@ from splinerf.features import (
     sample_fourier_ensemble,
     sample_nn_ensemble,
 )
-from splinerf.kernels import KernelSpec, kernel_matrix
+from splinerf.kernels import KernelSpec, kernel_matrix, monomial_exponents, monomial_matrix
 from splinerf.regression import (
     JITTER_LADDER,
     DegenerateDesignError,
@@ -18,8 +18,6 @@ from splinerf.regression import (
     fit_constrained_spline,
     fit_dual,
     fit_primal,
-    monomial_exponents,
-    monomial_matrix,
     predict,
 )
 from splinerf.sampling import RngStream
