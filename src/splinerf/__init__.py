@@ -10,8 +10,8 @@ from .kernels import (
     distance_kernel_matrix,
     gram,
     kd,
-    kd_pol,
     kernel_matrix,
+    kernel_pairs,
     make_profile,
     monomial_exponents,
     monomial_matrix,
@@ -19,12 +19,9 @@ from .kernels import (
     spline_fourier_constant,
 )
 from .features import (
-    FeatureEnsemble,
-    FeatureMatrix,
+    FourierFeatureMap,
+    NNFeatureMap,
     approx_kernel,
-    features,
-    fourier_features,
-    nn_features,
     sample_fourier_ensemble,
     sample_nn_ensemble,
 )
@@ -51,14 +48,10 @@ from .sampling import (
     NNParams,
     RngStream,
     SamplerError,
-    SphereSample,
     derive_seed,
     sample_fourier_frequencies,
-    sample_fourier_tau,
     sample_fourier_taus,
     sample_nn_params,
-    sample_sphere,
-    sphere_moment,
     tau_density,
     tau_rejection_stats,
 )

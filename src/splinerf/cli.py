@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
 from .features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
-from .kernels import KernelSpec, arccos_kernel, kd, kd_pol, kernel_matrix
+from .kernels import KernelSpec, kernel_matrix, kernel_pairs
 from .leverage import GridLeverageEstimator, fourier_profiles, nn_profile
 from .regression import FitConfig, factor_spd, fit_dual, fit_primal, predict
 from .sampling import RngStream, derive_seed, sample_fourier_frequencies, sample_nn_params
@@ -201,12 +202,15 @@ def run_fig3(cfg: ExperimentConfig) -> None:
 
 
 def run_kernel_eval(cfg: ExperimentConfig, stdin=None) -> int:
-    """Evaluate the kernel on point pairs read from stdin, one pair per line."""
+    """Evaluate the kernel on point pairs read from stdin, one pair per line.
+
+    All lines are parsed first, then the valid pairs are evaluated in one call:
+    a malformed line is reported by its number, a kernel error (such as an
+    unsupported alpha) once, with no rows written.
+    """
     spec = KernelSpec(cfg.alpha, cfg.d, cfg.R)
     stdin = stdin if stdin is not None else sys.stdin
-    evaluators = {"nn": kd, "arccos": arccos_kernel, "pol_only": kd_pol}
-    evaluate = evaluators[cfg.kernel]
-    rows = []
+    linenos, pairs = [], array("d")
     n_bad = 0
     for lineno, line in enumerate(stdin, start=1):
         line = line.strip()
@@ -216,12 +220,19 @@ def run_kernel_eval(cfg: ExperimentConfig, stdin=None) -> int:
             values = [float(tok) for tok in line.split()]
             if len(values) != 2 * cfg.d:
                 raise ValueError(f"expected {2 * cfg.d} reals, got {len(values)}")
-            x = np.array(values[:cfg.d])
-            y = np.array(values[cfg.d:])
-            rows.append((lineno, evaluate(x, y, spec)))
-        except Exception as exc:
+        except ValueError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             n_bad += 1
+            continue
+        linenos.append(lineno)
+        pairs.extend(values)
+    P = np.asarray(pairs).reshape(len(linenos), 2 * cfg.d)
+    try:
+        rows = list(zip(linenos, kernel_pairs(P[:, :cfg.d], P[:, cfg.d:], spec, cfg.kernel)))
+    except ValueError as exc:
+        print(f"kernel-eval: {exc}", file=sys.stderr)
+        rows = []
+        n_bad += 1
     metadata = [("experiment", "kernel-eval"), ("alpha", cfg.alpha), ("dim", cfg.d),
                 ("radius", cfg.R), ("kernel", cfg.kernel)]
     _write_csv(cfg.out, metadata, ["line", "value"], rows)

@@ -28,7 +28,7 @@ __all__ = [
     "spline_fourier_constant",
     "monomial_exponents",
     "monomial_matrix",
-    "kd_pol",
+    "kernel_pairs",
     "kd",
     "arccos_kernel",
     "kernel_matrix",
@@ -123,8 +123,7 @@ def _pol_coefficients(spec: KernelSpec):
     C(alpha, |f|) multinom(e) multinom(f) E_u[u^(e + f)] with 2s = |e| + |f|.
     For u uniform on the unit sphere, E_u[u^k] = prod_j (k_j - 1)!! /
     prod_(t < |k|/2) (d + 2t) when every k_j is even, and 0 otherwise.
-    Cached because kd evaluates one pair per call; the arrays are read-only
-    since every caller shares them.
+    Cached per spec; the arrays are read-only since every caller shares them.
     """
     a, d = spec.alpha, spec.d
     exps = monomial_exponents(d, a)
@@ -158,26 +157,6 @@ def _as_points(X, d: int) -> np.ndarray:
     return X
 
 
-def _as_vector(x, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if x.size != d:
-        raise ValueError(f"expected vectors of dimension {d}, got {x.size}")
-    return x
-
-
-def kd_pol(x, y, spec: KernelSpec) -> float:
-    """Polynomial kernel part on the ball, any alpha and d."""
-    x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
-    return float(_pol_part(x, y, spec)[0, 0])
-
-
-def kd(x, y, spec: KernelSpec) -> float:
-    """Full kernel value k_pol(x, y) + c(alpha, d) |x - y|^(2 alpha + 1) / R."""
-    x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
-    dist = float(np.linalg.norm(x - y))
-    return kd_pol(x, y, spec) + c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
-
-
 def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
     R2 = spec.R ** 2
     s2x = sq_x + R2
@@ -199,18 +178,41 @@ def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
     raise UnsupportedOrderError(f"arc-cosine kernel implemented for alpha <= 2, got {spec.alpha}")
 
 
+def _validated(Xa, Xb, spec: KernelSpec, kind: str):
+    if kind not in KERNEL_KINDS:
+        raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    return _as_points(Xa, spec.d), _as_points(Xb, spec.d)
+
+
+def kernel_pairs(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
+    """Row-wise kernel values K[i] = k(Xa[i], Xb[i]) for the chosen kernel kind."""
+    Xa, Xb = _validated(Xa, Xb, spec, kind)
+    if Xa.shape != Xb.shape:
+        raise ValueError(f"paired points need equal shapes, got {Xa.shape} and {Xb.shape}")
+    if kind == "arccos":
+        return _arccos_from_products(np.einsum("ij,ij->i", Xa, Xa), np.einsum("ij,ij->i", Xb, Xb),
+                                     np.einsum("ij,ij->i", Xa, Xb), spec)
+    E, C = _pol_coefficients(spec)
+    pol = np.einsum("ij,ij->i", monomial_matrix(Xa, E) @ C, monomial_matrix(Xb, E))
+    if kind == "pol_only":
+        return pol
+    dist = np.linalg.norm(Xa - Xb, axis=1)
+    return pol + c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+
+
+def kd(x, y, spec: KernelSpec) -> float:
+    """Full kernel value k_pol(x, y) + c(alpha, d) |x - y|^(2 alpha + 1) / R."""
+    return float(kernel_pairs(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), spec)[0])
+
+
 def arccos_kernel(x, y, spec: KernelSpec) -> float:
     """Rotation-invariant kernel of the fully spherical weight normalization."""
-    x, y = _as_vector(x, spec.d), _as_vector(y, spec.d)
-    return float(_arccos_from_products(x @ x, y @ y, x @ y, spec))
+    return float(kernel_pairs(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), spec, "arccos")[0])
 
 
 def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind."""
-    if kind not in KERNEL_KINDS:
-        raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
-    Xa = _as_points(Xa, spec.d)
-    Xb = _as_points(Xb, spec.d)
+    Xa, Xb = _validated(Xa, Xb, spec, kind)
     if kind == "pol_only":
         return _pol_part(Xa, Xb, spec)
     sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]

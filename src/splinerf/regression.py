@@ -8,7 +8,7 @@ from math import comb
 import numpy as np
 import scipy.linalg as sla
 
-from .features import FeatureEnsemble, features
+from .features import FourierFeatureMap, NNFeatureMap
 from .kernels import (KernelSpec, _as_points, distance_kernel_matrix, kernel_matrix,
                       monomial_exponents, monomial_matrix)
 
@@ -41,7 +41,7 @@ class DegenerateDesignError(ValueError):
 class FitConfig:
     """Solver mode plus regularization knobs.
 
-    mode: "interpolate", "ridge" (uses mu) or "constrained_spline".
+    mode: "interpolate" (mu must be 0), "ridge" (uses mu) or "constrained_spline".
     jitter is added to the system diagonal before factorization.
     """
 
@@ -54,6 +54,8 @@ class FitConfig:
             raise ValueError(f"unknown fit mode {self.mode!r}")
         if self.mu < 0 or self.jitter < 0:
             raise ValueError("mu and jitter must be non-negative")
+        if self.mode == "interpolate" and self.mu > 0:
+            raise ValueError(f"interpolate mode does not read mu, got mu = {self.mu}; use mode='ridge'")
 
 
 @dataclass
@@ -69,7 +71,7 @@ class RegressionModel:
     kind: str
     X: np.ndarray
     spec: KernelSpec | None = None
-    ensemble: FeatureEnsemble | None = None
+    ensemble: NNFeatureMap | FourierFeatureMap | None = None
     dual_coeffs: np.ndarray | None = None
     poly_coeffs: np.ndarray = field(default_factory=lambda: np.empty(0))
     feature_weights: np.ndarray | None = None
@@ -120,6 +122,13 @@ def factor_spd(K, shift: float = 0.0) -> SPDFactor:
         f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
 
 
+def _shift(cfg: FitConfig, n: int) -> float:
+    """Diagonal shift n mu + jitter of the n x n interpolation or ridge system."""
+    if cfg.mode == "constrained_spline":
+        raise ValueError("constrained_spline configs are solved by fit_constrained_spline")
+    return n * cfg.mu + cfg.jitter
+
+
 def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> RegressionModel:
     """Kernel-space solve: lambda = (K + (n mu + jitter) I)^{-1} y."""
     X = _as_points(X, spec.d)
@@ -128,8 +137,7 @@ def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> Regression
     if y.size != n:
         raise ValueError("targets must match the number of points")
     K = kernel_matrix(X, X, spec)
-    ridge = n * cfg.mu if cfg.mode == "ridge" else 0.0
-    factor = factor_spd(K, ridge + cfg.jitter)
+    factor = factor_spd(K, _shift(cfg, n))
     coeffs = factor.solve(y)
     residual = float(np.max(np.abs(K @ coeffs - y), initial=0.0))
     return RegressionModel(kind="dual", X=X, spec=spec, dual_coeffs=coeffs,
@@ -137,7 +145,7 @@ def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> Regression
                            mu=cfg.mu)
 
 
-def fit_primal(X, y, ensemble: FeatureEnsemble, cfg: FitConfig = FitConfig()) -> RegressionModel:
+def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig = FitConfig()) -> RegressionModel:
     """Feature-space solve returning per-feature weights.
 
     The weights are eta = scaling * F^T lambda with lambda solving the n x n
@@ -149,12 +157,11 @@ def fit_primal(X, y, ensemble: FeatureEnsemble, cfg: FitConfig = FitConfig()) ->
     n = X.shape[0]
     if y.size != n:
         raise ValueError("targets must match the number of points")
-    F = features(X, ensemble)
-    K_hat = F.scaling * (F.values @ F.values.T)
-    ridge = n * cfg.mu if cfg.mode == "ridge" else 0.0
-    factor = factor_spd(K_hat, ridge + cfg.jitter)
-    eta = F.scaling * (F.values.T @ factor.solve(y))
-    residual = float(np.max(np.abs(F.values @ eta - y), initial=0.0))
+    F = ensemble.features(X)
+    K_hat = ensemble.scaling * (F @ F.T)
+    factor = factor_spd(K_hat, _shift(cfg, n))
+    eta = ensemble.scaling * (F.T @ factor.solve(y))
+    residual = float(np.max(np.abs(F @ eta - y), initial=0.0))
     return RegressionModel(kind="primal", X=X, ensemble=ensemble, feature_weights=eta,
                            jitter_used=cfg.jitter + factor.escalation, residual=residual,
                            mu=cfg.mu)
@@ -205,7 +212,7 @@ def predict(model: RegressionModel, Xtest) -> np.ndarray:
     if model.kind == "dual":
         return kernel_matrix(Xtest, model.X, model.spec) @ model.dual_coeffs
     if model.kind == "primal":
-        return features(Xtest, model.ensemble).values @ model.feature_weights
+        return model.ensemble.features(Xtest) @ model.feature_weights
     if model.kind == "constrained_spline":
         E = distance_kernel_matrix(Xtest, model.X, model.spec)
         Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))

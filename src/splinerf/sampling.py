@@ -12,23 +12,18 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "SamplerError",
     "RngStream",
     "derive_seed",
-    "SphereSample",
     "NNParams",
     "FourierFrequencies",
-    "sample_sphere",
     "sample_nn_params",
     "tau_density",
-    "sample_fourier_tau",
     "sample_fourier_taus",
     "tau_rejection_stats",
     "sample_fourier_frequencies",
-    "sphere_moment",
 ]
 
 # Cauchy-envelope rejection bound: p/q = sin^2(Rt) + sin^2(Rt)/(Rt)^2 <= 2.
@@ -84,13 +79,6 @@ def derive_seed(seed: int, *parts) -> int:
 
 
 @dataclass(frozen=True)
-class SphereSample:
-    """A single direction drawn uniformly from the unit sphere."""
-
-    direction: np.ndarray
-
-
-@dataclass(frozen=True)
 class NNParams:
     """An ensemble of (direction, bias) pairs: unit rows and biases in [-R, R]."""
 
@@ -127,14 +115,6 @@ def _unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     return g / norms[:, None]
 
 
-def sample_sphere(d: int, stream: RngStream) -> SphereSample:
-    """Draw one direction uniformly on the unit sphere in R^d."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = stream.generator()
-    return SphereSample(direction=_unit_rows(rng, 1, d)[0])
-
-
 def sample_nn_params(d: int, R: float, m: int, stream: RngStream) -> NNParams:
     """Draw m i.i.d. pairs: direction uniform on the sphere, bias uniform on [-R, R]."""
     if d < 1:
@@ -168,21 +148,6 @@ def _rejection_round(R: float, k: int, rng: np.random.Generator):
     accept_prob = tau_density(proposals, R) / (REJECTION_ENVELOPE * _cauchy_density(proposals, R))
     accepted = rng.uniform(size=k) < accept_prob
     return proposals[accepted]
-
-
-def sample_fourier_tau(R: float, stream: RngStream) -> float:
-    """Draw one frequency magnitude by Cauchy rejection sampling."""
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
-    rng = stream.generator()
-    proposals_used = 0
-    while proposals_used < _MAX_PROPOSALS:
-        k = min(64, _MAX_PROPOSALS - proposals_used)
-        got = _rejection_round(R, k, rng)
-        proposals_used += k
-        if got.size:
-            return float(got[0])
-    raise SamplerError(f"rejection sampler exhausted {_MAX_PROPOSALS} proposals")
 
 
 def sample_fourier_taus(R: float, m: int, stream: RngStream) -> np.ndarray:
@@ -230,51 +195,3 @@ def sample_fourier_frequencies(d: int, R: float, m: int, stream: RngStream) -> F
     taus = sample_fourier_taus(R, m, stream)
     directions = _unit_rows(stream.next().generator(), m, d)
     return FourierFrequencies(taus=taus, directions=directions)
-
-
-_MOMENT_KINDS = frozenset(
-    {"abs_odd", "even_power", "quadratic", "bilinear", "bilinear_squared"}
-)
-
-
-def sphere_moment(kind: str, z, order: int = 0, t=None) -> float:
-    """Closed-form moments of w uniform on the unit sphere in R^d (d = len(z)).
-
-    kind:
-      - "abs_odd":          E|w.z|^(2*order+1)
-      - "even_power":       E[(w.z)^order] for even order
-      - "quadratic":        E[(w.z)^2] = |z|^2 / d
-      - "bilinear":         E[z.w w.t] = z.t / d
-      - "bilinear_squared": E[(z.w w.t)^2] = (2 (z.t)^2 + |z|^2 |t|^2) / (d (d+2))
-    """
-    if kind not in _MOMENT_KINDS:
-        raise ValueError(f"unknown moment kind {kind!r}")
-    z = np.asarray(z, dtype=float)
-    d = z.size
-    if d < 1:
-        raise ValueError("z must be a non-empty vector")
-    if kind in ("bilinear", "bilinear_squared"):
-        if t is None:
-            raise ValueError(f"moment kind {kind!r} requires the second vector t")
-        t = np.asarray(t, dtype=float)
-        if t.size != d:
-            raise ValueError("z and t must have the same dimension")
-    nz = float(np.linalg.norm(z))
-    if kind == "abs_odd":
-        alpha = int(order)
-        lg = gammaln(1 + alpha) + gammaln(d / 2.0) - gammaln(0.5) - gammaln(d / 2.0 + 0.5 + alpha)
-        return nz ** (2 * alpha + 1) * float(np.exp(lg))
-    if kind == "even_power":
-        power = int(order)
-        if power % 2 != 0 or power < 0:
-            raise ValueError(f"even_power requires a non-negative even power, got {power}")
-        alpha = power // 2
-        lg = gammaln(0.5 + alpha) + gammaln(d / 2.0) - gammaln(0.5) - gammaln(d / 2.0 + alpha)
-        return nz ** power * float(np.exp(lg))
-    if kind == "quadratic":
-        return nz ** 2 / d
-    if kind == "bilinear":
-        return float(z @ t) / d
-    # bilinear_squared
-    zt = float(z @ t)
-    return (2.0 * zt ** 2 + nz ** 2 * float(t @ t)) / (d * (d + 2))

@@ -2,9 +2,10 @@
 
 Everything here deliberately avoids the library's closed-form code paths:
 adaptive Gauss-Legendre quadrature, chunked Monte Carlo over explicit feature
-draws, a cumulative-quadrature CDF for the frequency density, the polynomial
-kernel part through bivariate Gaussian moments, and a dense discretization of
-the leverage integral operator.
+draws, closed-form moments of a uniform sphere direction (themselves checked
+against Monte Carlo), a cumulative-quadrature CDF for the frequency density,
+the polynomial kernel part through bivariate Gaussian moments, and a dense
+discretization of the leverage integral operator.
 """
 
 from dataclasses import dataclass
@@ -124,6 +125,54 @@ def mc_sphere_projection_moment(fn, d, n_samples, rng, chunk=1_000_000):
         return fn(w)
 
     return mc_mean_stderr(sampler, n_samples, chunk)
+
+
+_MOMENT_KINDS = frozenset(
+    {"abs_odd", "even_power", "quadratic", "bilinear", "bilinear_squared"}
+)
+
+
+def sphere_moment(kind: str, z, order: int = 0, t=None) -> float:
+    """Closed-form moments of w uniform on the unit sphere in R^d (d = len(z)).
+
+    kind:
+      - "abs_odd":          E|w.z|^(2*order+1)
+      - "even_power":       E[(w.z)^order] for even order
+      - "quadratic":        E[(w.z)^2] = |z|^2 / d
+      - "bilinear":         E[z.w w.t] = z.t / d
+      - "bilinear_squared": E[(z.w w.t)^2] = (2 (z.t)^2 + |z|^2 |t|^2) / (d (d+2))
+    """
+    if kind not in _MOMENT_KINDS:
+        raise ValueError(f"unknown moment kind {kind!r}")
+    z = np.asarray(z, dtype=float)
+    d = z.size
+    if d < 1:
+        raise ValueError("z must be a non-empty vector")
+    if kind in ("bilinear", "bilinear_squared"):
+        if t is None:
+            raise ValueError(f"moment kind {kind!r} requires the second vector t")
+        t = np.asarray(t, dtype=float)
+        if t.size != d:
+            raise ValueError("z and t must have the same dimension")
+    nz = float(np.linalg.norm(z))
+    if kind == "abs_odd":
+        alpha = int(order)
+        lg = gammaln(1 + alpha) + gammaln(d / 2.0) - gammaln(0.5) - gammaln(d / 2.0 + 0.5 + alpha)
+        return nz ** (2 * alpha + 1) * float(np.exp(lg))
+    if kind == "even_power":
+        power = int(order)
+        if power % 2 != 0 or power < 0:
+            raise ValueError(f"even_power requires a non-negative even power, got {power}")
+        alpha = power // 2
+        lg = gammaln(0.5 + alpha) + gammaln(d / 2.0) - gammaln(0.5) - gammaln(d / 2.0 + alpha)
+        return nz ** power * float(np.exp(lg))
+    if kind == "quadratic":
+        return nz ** 2 / d
+    if kind == "bilinear":
+        return float(z @ t) / d
+    # bilinear_squared
+    zt = float(z @ t)
+    return (2.0 * zt ** 2 + nz ** 2 * float(t @ t)) / (d * (d + 2))
 
 
 def tau_cdf_by_quadrature(R, tau_max=3000.0, n_grid=600_001):

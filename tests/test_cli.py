@@ -57,6 +57,19 @@ def test_kernel_eval_malformed_line(tmp_path, monkeypatch, capsys):
     assert [r[0] for r in rows] == ["1", "3"]  # good lines still evaluated
 
 
+def test_kernel_eval_unsupported_kernel_reported_once(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "k.csv"
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n0.1 0.2\n0.3 -0.4\n"))
+    rc = main(["--experiment", "kernel-eval", "--kernel", "arccos", "--alpha", "3",
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "alpha <= 2" in err[0]
+    _, header, rows = _read_csv(out)
+    assert header == ["line", "value"]
+    assert rows == []
+
+
 def test_feature_sample_deterministic(tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["--experiment", "feature-sample", "--kind", "fourier", "--m", "3",

@@ -1,12 +1,12 @@
+import types
+
 import numpy as np
 import pytest
 
 from splinerf.features import (
-    FeatureEnsemble,
+    FourierFeatureMap,
+    NNFeatureMap,
     approx_kernel,
-    features,
-    fourier_features,
-    nn_features,
     sample_fourier_ensemble,
     sample_nn_ensemble,
 )
@@ -16,27 +16,26 @@ from splinerf.sampling import FourierFrequencies, NNParams, RngStream
 
 def _manual_nn_ensemble(w, b, spec):
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    return FeatureEnsemble(kind="nn", spec=spec,
-                           nn_params=NNParams(directions=w, biases=np.atleast_1d(b)))
+    return NNFeatureMap(spec, NNParams(directions=w, biases=np.atleast_1d(b)))
 
 
 def test_nn_feature_values():
     spec1 = KernelSpec(1, 1, 1.0)
     ens = _manual_nn_ensemble([[1.0]], [0.3], spec1)
-    F = nn_features(np.array([[0.5]]), ens)
-    assert abs(F.values[0, 0] - 0.8) < 1e-15
+    F = ens.features(np.array([[0.5]]))
+    assert abs(F[0, 0] - 0.8) < 1e-15
 
     spec0 = KernelSpec(0, 1, 1.0)
     ens0 = _manual_nn_ensemble([[1.0]], [0.3], spec0)
-    assert nn_features(np.array([[0.5]]), ens0).values[0, 0] == 1.0
+    assert ens0.features(np.array([[0.5]]))[0, 0] == 1.0
     # activation power zero is a strict step: value 0 at exactly zero argument
-    assert nn_features(np.array([[-0.3]]), ens0).values[0, 0] == 0.0
+    assert ens0.features(np.array([[-0.3]]))[0, 0] == 0.0
 
 
 def test_nn_feature_alpha2():
     ens = _manual_nn_ensemble([[1.0]], [0.25], KernelSpec(2, 1, 1.0))
-    F = nn_features(np.array([[0.5]]), ens)
-    assert abs(F.values[0, 0] - 0.75 ** 2) < 1e-15
+    F = ens.features(np.array([[0.5]]))
+    assert abs(F[0, 0] - 0.75 ** 2) < 1e-15
 
 
 def test_fourier_diag_exact_half():
@@ -50,7 +49,7 @@ def test_fourier_diag_exact_half():
 def test_fourier_zero_frequency_constant():
     spec = KernelSpec(0, 1, 1.0)
     freqs = FourierFrequencies(taus=np.array([0.0]), directions=np.array([[1.0]]))
-    ens = FeatureEnsemble(kind="fourier", spec=spec, frequencies=freqs)
+    ens = FourierFeatureMap(spec, freqs)
     X = np.linspace(-1, 1, 9)[:, None]
     K = approx_kernel(X, X, ens)
     assert np.all(K == 0.5)
@@ -59,6 +58,9 @@ def test_fourier_zero_frequency_constant():
 def test_fourier_requires_alpha0():
     with pytest.raises(UnsupportedOrderError):
         sample_fourier_ensemble(KernelSpec(1, 1, 1.0), 8, RngStream(0))
+    freqs = FourierFrequencies(taus=np.array([1.0]), directions=np.array([[1.0]]))
+    with pytest.raises(UnsupportedOrderError):
+        FourierFeatureMap(KernelSpec(1, 1, 1.0), freqs)
 
 
 def test_fourier_kernel_value_d1():
@@ -92,8 +94,8 @@ def test_nn_approx_kernel_matches_closed_form():
     rng = np.random.default_rng(2)
     x = rng.uniform(-0.6, 0.6, 2)
     y = rng.uniform(-0.6, 0.6, 2)
-    F = features(np.stack([x, y]), ens)
-    prods = F.values[0] * F.values[1]
+    F = ens.features(np.stack([x, y]))
+    prods = F[0] * F[1]
     se = prods.std(ddof=1) / np.sqrt(ens.m)
     khat = approx_kernel(x[None, :], y[None, :], ens)[0, 0]
     assert abs(khat - kd(x, y, spec)) < 4 * se
@@ -127,8 +129,8 @@ def test_nn_feature_magnitude_bound():
             ens = sample_nn_ensemble(spec, 256, RngStream(30 + alpha))
             X = rng.normal(size=(50, 3))
             X *= rng.uniform(0, R, size=(50, 1)) / np.linalg.norm(X, axis=1, keepdims=True)
-            F = nn_features(X, ens)
-            assert np.max(np.abs(F.values)) <= (2 * R) ** alpha + 1e-12
+            F = ens.features(X)
+            assert np.max(np.abs(F)) <= (2 * R) ** alpha + 1e-12
 
 
 def test_law_of_large_numbers_rate():
@@ -153,16 +155,31 @@ def test_law_of_large_numbers_rate():
 
 
 def test_feature_matrix_dimension_mismatch():
-    ens = sample_nn_ensemble(KernelSpec(0, 2, 1.0), 4, RngStream(31))
-    with pytest.raises(ValueError):
-        nn_features(np.zeros((3, 5)), ens)
-    with pytest.raises(ValueError):
-        fourier_features(np.zeros((3, 2)), ens)
+    spec = KernelSpec(0, 2, 1.0)
+    for ens in (sample_nn_ensemble(spec, 4, RngStream(31)),
+                sample_fourier_ensemble(spec, 4, RngStream(31))):
+        with pytest.raises(ValueError):
+            ens.features(np.zeros((3, 5)))
 
 
 def test_ensemble_validation():
     spec = KernelSpec(0, 1, 1.0)
     with pytest.raises(ValueError):
-        FeatureEnsemble(kind="nn", spec=spec)
+        NNFeatureMap(spec, NNParams(directions=np.empty((0, 1)), biases=np.empty(0)))
     with pytest.raises(ValueError):
-        FeatureEnsemble(kind="maple", spec=spec)
+        FourierFeatureMap(spec, FourierFrequencies(taus=np.empty(0), directions=np.empty((0, 1))))
+
+
+def test_feature_maps_shape_and_scaling():
+    spec = KernelSpec(0, 2, 1.0)
+    X = np.random.default_rng(32).uniform(-0.7, 0.7, (5, 2))
+    nn = sample_nn_ensemble(spec, 6, RngStream(33))
+    fourier = sample_fourier_ensemble(spec, 6, RngStream(34))
+    assert (nn.m, nn.scaling, nn.features(X).shape) == (6, 1.0 / 6, (5, 6))
+    assert (fourier.m, fourier.scaling, fourier.features(X).shape) == (6, 1.0 / 12, (5, 12))
+
+
+def test_features_submodule_not_shadowed():
+    import splinerf.features
+
+    assert isinstance(splinerf.features, types.ModuleType)

@@ -14,8 +14,8 @@ from splinerf.kernels import (
     distance_kernel_matrix,
     gram,
     kd,
-    kd_pol,
     kernel_matrix,
+    kernel_pairs,
     make_profile,
     monomial_exponents,
     monomial_matrix,
@@ -39,7 +39,7 @@ def test_c_alpha_d1_factorial_consistency():
 def test_c_alpha_d3():
     assert abs(c_alpha(KernelSpec(0, 3)) + 0.125) < 1e-15
     # same value through the sphere-moment route: -(1/4) E|w . e1|
-    from splinerf.sampling import sphere_moment
+    from oracles import sphere_moment
 
     e1 = np.array([1.0, 0.0, 0.0])
     assert abs(c_alpha(KernelSpec(0, 3)) + 0.25 * sphere_moment("abs_odd", e1, 0)) < 1e-15
@@ -90,25 +90,28 @@ def test_k1_pol_alpha4_quadrature():
 def test_kd_pol_small_alpha_closed_forms(d):
     rng = np.random.default_rng(d)
     R = 1.3
+    xs, ys = [], []
     for _ in range(5):
         x = rng.normal(size=d); x *= rng.uniform(0, R) / np.linalg.norm(x)
         y = rng.normal(size=d); y *= rng.uniform(0, R) / np.linalg.norm(y)
-        xx, yy, xy = x @ x, y @ y, x @ y
-        assert abs(kd_pol(x, y, KernelSpec(0, d, R)) - 0.5) < 1e-14
-        k1 = R ** 2 / 6.0 + xy / (2.0 * d)
-        assert abs(kd_pol(x, y, KernelSpec(1, d, R)) - k1) < 1e-14
-        # alpha = 2: the x.y term carries 2R^2/(3d), consistent with the d = 1 kernel
-        k2 = (R ** 4 / 10.0 + 2.0 * R ** 2 * xy / (3.0 * d)
-              + R ** 2 * (xx + yy) / (6.0 * d)
-              + (2.0 * xy ** 2 + xx * yy) / (2.0 * d * (d + 2)))
-        assert abs(kd_pol(x, y, KernelSpec(2, d, R)) - k2) < 1e-13
+        xs.append(x); ys.append(y)
+    X, Y = np.array(xs), np.array(ys)
+    xx, yy, xy = (X * X).sum(axis=1), (Y * Y).sum(axis=1), (X * Y).sum(axis=1)
+    assert np.abs(kernel_pairs(X, Y, KernelSpec(0, d, R), "pol_only") - 0.5).max() < 1e-14
+    k1 = R ** 2 / 6.0 + xy / (2.0 * d)
+    assert np.abs(kernel_pairs(X, Y, KernelSpec(1, d, R), "pol_only") - k1).max() < 1e-14
+    # alpha = 2: the x.y term carries 2R^2/(3d), consistent with the d = 1 kernel
+    k2 = (R ** 4 / 10.0 + 2.0 * R ** 2 * xy / (3.0 * d)
+          + R ** 2 * (xx + yy) / (6.0 * d)
+          + (2.0 * xy ** 2 + xx * yy) / (2.0 * d * (d + 2)))
+    assert np.abs(kernel_pairs(X, Y, KernelSpec(2, d, R), "pol_only") - k2).max() < 1e-13
 
 
 def test_kd_pol_reduces_to_k1_pol():
     rng = np.random.default_rng(5)
     for alpha in (0, 1, 3, 5):
         x, y = rng.uniform(-0.9, 0.9, 2)
-        got = kd_pol(np.array([x]), np.array([y]), KernelSpec(alpha, 1))
+        got = kernel_pairs([[x]], [[y]], KernelSpec(alpha, 1), "pol_only")[0]
         assert abs(got - k1_pol(x, y, alpha, 1.0)) < 1e-13
 
 
@@ -126,7 +129,7 @@ def test_kd_pol_alpha3_monte_carlo():
     from oracles import mc_mean_stderr
 
     mean, se = mc_mean_stderr(sampler, 10_000_000)
-    assert abs(kd_pol(x, y, spec) - mean) < 4 * se
+    assert abs(kernel_pairs(x[None], y[None], spec, "pol_only")[0] - mean) < 4 * se
 
 
 def test_kd_trivial_and_arithmetic():
@@ -159,7 +162,7 @@ def test_kd_dimension_mismatch():
     with pytest.raises(ValueError):
         kd(np.zeros(2), np.zeros(3), KernelSpec(0, 2))
     with pytest.raises(ValueError):
-        kd_pol(np.zeros(3), np.zeros(3), KernelSpec(0, 2))
+        kernel_pairs(np.zeros((1, 3)), np.zeros((1, 3)), KernelSpec(0, 2), "pol_only")
 
 
 def test_diagonal_bound():
@@ -345,8 +348,9 @@ def test_pol_part_matches_gaussian_moment_oracle(alpha, d):
     K = kernel_matrix(Xa, Xb, spec, kind="pol_only")
     assert K.shape == want.shape
     assert np.abs(K - want).max() <= tol
-    for i, j in [(0, 0), (3, 7), (22, 14)]:
-        assert abs(kd_pol(Xa[i], Xb[j], spec) - want[i, j]) <= tol
+    rows, cols = [0, 3, 22], [0, 7, 14]
+    pairs = kernel_pairs(Xa[rows], Xb[cols], spec, "pol_only")
+    assert np.abs(pairs - want[rows, cols]).max() <= tol
 
 
 def test_pol_part_alpha0_is_exactly_one_half():
@@ -380,3 +384,66 @@ def test_distance_kernel_matches_difference_array(alpha, d):
     dist = np.linalg.norm(Xa[:, None, :] - Xb[None, :, :], axis=2)
     expected = c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
     assert np.array_equal(distance_kernel_matrix(Xa, Xb, spec), expected)
+
+
+def _ball_pairs(rng, n, d, R):
+    Xa = rng.normal(size=(n, d))
+    Xa *= (R * rng.uniform(0, 1, n) / np.linalg.norm(Xa, axis=1))[:, None]
+    Xb = np.vstack([Xa[:4], -0.5 * Xa[4:]])  # four zero distances
+    return Xa, Xb
+
+
+@pytest.mark.parametrize("alpha", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_kernel_pairs_match_oracle(alpha, d):
+    rng = np.random.default_rng(200 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xa, Xb = _ball_pairs(rng, 23, d, spec.R)
+    pol = np.diag(pol_kernel_gaussian(Xa, Xb, alpha, spec.R))
+    dist = np.sqrt(((Xa - Xb) ** 2).sum(axis=1))
+    want = pol + c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
+    for kind, expected in (("nn", want), ("pol_only", pol)):
+        got = kernel_pairs(Xa, Xb, spec, kind)
+        assert got.shape == (23,)
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max(), kind
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_kernel_pairs_arccos_match_kernel_matrix(alpha, d):
+    rng = np.random.default_rng(300 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xa, Xb = _ball_pairs(rng, 23, d, spec.R)
+    want = np.diag(kernel_matrix(Xa, Xb, spec, kind="arccos"))
+    got = kernel_pairs(Xa, Xb, spec, "arccos")
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("kind", ["nn", "arccos", "pol_only"])
+def test_kernel_pairs_shapes(kind):
+    spec = KernelSpec(1, 2)
+    with pytest.raises(ValueError):
+        kernel_pairs(np.zeros((3, 2)), np.zeros((4, 2)), spec, kind)
+    with pytest.raises(ValueError):
+        kernel_pairs(np.zeros((3, 2)), np.zeros((3, 3)), spec, kind)
+    assert kernel_pairs(np.zeros((0, 2)), np.zeros((0, 2)), spec, kind).shape == (0,)
+
+
+def test_kernel_pairs_unknown_kind():
+    with pytest.raises(ValueError):
+        kernel_pairs(np.zeros((1, 2)), np.zeros((1, 2)), KernelSpec(1, 2), "maple")
+
+
+def test_scalar_kernels_are_kernel_pairs_rows():
+    # equal to a one-row call; to a row of a batched call up to the BLAS summation order
+    rng = np.random.default_rng(400)
+    for alpha, d in [(0, 1), (1, 3), (2, 2), (3, 3)]:
+        spec = KernelSpec(alpha, d)
+        Xa, Xb = _ball_pairs(rng, 6, d, spec.R)
+        scalars = [("nn", kd)] + ([("arccos", arccos_kernel)] if alpha <= 2 else [])
+        for kind, scalar in scalars:
+            batch = kernel_pairs(Xa, Xb, spec, kind)
+            for i in range(6):
+                got = scalar(Xa[i], Xb[i], spec)
+                assert got == kernel_pairs(Xa[i:i + 1], Xb[i:i + 1], spec, kind)[0]
+                assert abs(got - batch[i]) <= 1e-13 * np.abs(batch).max()

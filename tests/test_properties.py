@@ -7,7 +7,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splinerf.kernels import KernelSpec, kd_pol, kernel_matrix
+from splinerf.kernels import KernelSpec, kernel_matrix, kernel_pairs
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -43,8 +43,9 @@ def test_pol_part_symmetric(case):
 def test_pol_part_batch_matches_scalar(case):
     spec, X = case
     K = _pol(X, spec)
-    scalar = np.array([[kd_pol(x, y, spec) for y in X] for x in X])
-    assert np.abs(K - scalar).max() <= 1e-13 * np.abs(K).max()
+    n = X.shape[0]
+    pairs = kernel_pairs(np.repeat(X, n, axis=0), np.tile(X, (n, 1)), spec, "pol_only")
+    assert np.abs(K - pairs.reshape(n, n)).max() <= 1e-13 * np.abs(K).max()
 
 
 @PROPERTY_SETTINGS

@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from splinerf.features import (
-    approx_kernel,
-    nn_features,
-    sample_fourier_ensemble,
-    sample_nn_ensemble,
-)
+from splinerf.features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
 from splinerf.kernels import KernelSpec, kernel_matrix, monomial_exponents, monomial_matrix
 from splinerf.regression import (
     JITTER_LADDER,
@@ -84,9 +79,7 @@ def test_primal_single_feature():
     ens = sample_nn_ensemble(spec, 1, RngStream(9))
     X = np.array([[0.6]])
     y = np.array([2.0])
-    from splinerf.features import nn_features
-
-    phi = nn_features(X, ens).values[0, 0]
+    phi = ens.features(X)[0, 0]
     if phi != 0.0:
         model = fit_primal(X, y, ens)
         assert abs(model.feature_weights[0] - y[0] / phi) < 1e-6
@@ -215,6 +208,23 @@ def test_fit_config_validation():
         FitConfig(mu=-1.0)
 
 
+def test_interpolate_mode_rejects_mu():
+    with pytest.raises(ValueError):
+        FitConfig(mu=1e-3)
+    assert FitConfig(mode="ridge", mu=1e-3).mu == 1e-3
+
+
+def test_dual_and_primal_reject_constrained_spline_config():
+    spec = KernelSpec(1, 1, 1.0)
+    X = np.linspace(-0.8, 0.8, 6)[:, None]
+    ens = sample_nn_ensemble(spec, 16, RngStream(5))
+    cfg = FitConfig(mode="constrained_spline", mu=1e-3)
+    with pytest.raises(ValueError):
+        fit_dual(X, np.ones(6), spec, cfg)
+    with pytest.raises(ValueError):
+        fit_primal(X, np.ones(6), ens, cfg)
+
+
 def _inline_cholesky_solve(K, shift, B):
     # the symmetrize-shift-factor sequence factor_spd replaced, written out
     n = K.shape[0]
@@ -285,7 +295,7 @@ def _points_consumers():
     }
     consumers = {
         "kernel_matrix": lambda P: kernel_matrix(P, P, spec),
-        "nn_features": lambda P: nn_features(P, ens).values,
+        "nn_features": lambda P: ens.features(P),
         "fit_dual": lambda P: fit_dual(P, np.zeros(P.shape[0]), spec).dual_coeffs,
     }
     for kind, model in models.items():

@@ -1,32 +1,34 @@
 import numpy as np
 import pytest
 
+from oracles import sphere_moment
 from splinerf.sampling import (
     RngStream,
     SamplerError,
     sample_fourier_frequencies,
-    sample_fourier_tau,
     sample_fourier_taus,
     sample_nn_params,
-    sample_sphere,
-    sphere_moment,
     tau_density,
     tau_rejection_stats,
 )
 
 
+def _direction(d, stream):
+    return sample_nn_params(d, 1.0, 1, stream).directions[0]
+
+
 def test_sphere_determinism():
     s = RngStream(seed=42, draw_index=0)
-    a = sample_sphere(2, s).direction
-    b = sample_sphere(2, s).direction
+    a = _direction(2, s)
+    b = _direction(2, s)
     assert np.array_equal(a, b)
-    c = sample_sphere(2, s.at(1)).direction
+    c = _direction(2, s.at(1))
     assert not np.array_equal(a, c)
 
 
 def test_sphere_unit_norm():
     for d in (1, 2, 5, 8):
-        v = sample_sphere(d, RngStream(3, d)).direction
+        v = _direction(d, RngStream(3, d))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -48,7 +50,7 @@ def test_sphere_quadratic_moment_d3():
 
 def test_sphere_invalid_dimension():
     with pytest.raises(ValueError):
-        sample_sphere(0, RngStream(0))
+        _direction(0, RngStream(0))
 
 
 def test_nn_params_bias_moments():
@@ -72,9 +74,13 @@ def test_nn_params_invalid_radius():
 
 
 def test_tau_scalar_deterministic():
-    assert sample_fourier_tau(1.0, RngStream(9)) == sample_fourier_tau(1.0, RngStream(9))
-    with pytest.raises(ValueError):
-        sample_fourier_tau(-1.0, RngStream(9))
+    tau = sample_fourier_taus(1.0, 1, RngStream(9))
+    assert tau.shape == (1,)
+    assert np.array_equal(tau, sample_fourier_taus(1.0, 1, RngStream(9)))
+    assert not np.array_equal(tau, sample_fourier_taus(1.0, 1, RngStream(9, 1)))
+    for R in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            sample_fourier_taus(R, 1, RngStream(9))
 
 
 def test_tau_sign_symmetry():
@@ -168,18 +174,18 @@ def test_sphere_moments_match_monte_carlo():
         while done < n_samples:
             k = min(chunk, n_samples - done)
             g = rng.standard_normal((k, d))
-            w = g / np.linalg.norm(g, axis=1, keepdims=True)
-            wz = w @ z
-            wt = w @ t
-            stats = np.stack([
-                np.abs(wz) ** (2 * alpha + 1),
-                wz ** (2 * alpha),
-                wz ** 2,
-                wz * wt,
-                (wz * wt) ** 2,
-            ])
-            sums += stats.sum(axis=1)
-            sums_sq += (stats ** 2).sum(axis=1)
+            inv_norm = 1.0 / np.sqrt(np.einsum("ij,ij->i", g, g))
+            wz = (g @ z) * inv_norm  # w.z for w = g / |g|
+            wt = (g @ t) * inv_norm
+            square = wz * wz
+            even = np.ones(k)
+            for _ in range(alpha):
+                even *= square
+            cross = wz * wt
+            # |w.z|^(2 alpha + 1), (w.z)^(2 alpha), (w.z)^2, w.z w.t, (w.z w.t)^2
+            for i, stat in enumerate((np.abs(wz) * even, even, square, cross, cross * cross)):
+                sums[i] += stat.sum()
+                sums_sq[i] += stat @ stat
             done += k
         means = sums / n_samples
         ses = np.sqrt(np.maximum(sums_sq / n_samples - means ** 2, 0.0) / n_samples)
