@@ -5,7 +5,9 @@ The polynomial part has degree <= alpha in each argument, so on the monomial
 basis M of degree <= alpha (C(d + alpha, alpha) columns, the same basis the
 constrained spline solve uses) it is exactly k_pol(Xa, Xb) = M(Xa) C M(Xb)^T,
 with an r x r coefficient matrix C built once per KernelSpec from exact
-sphere moments.  No sampling is involved.
+sphere moments.  No sampling is involved.  Every evaluator forms |x - y| from
+exact coordinate differences in one helper, so the distance term is exactly 0
+at x = y, and SciPy's spatial module is never imported.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 KERNEL_KINDS = ("nn", "arccos", "pol_only")
+DISTANCE_BLOCK_ENTRIES = 2 ** 15  # distance-term entries per row block: small temporaries
 
 
 class UnsupportedOrderError(ValueError):
@@ -71,22 +74,21 @@ class GramMatrix:
     n_outside_ball: int = 0
 
 
-def c_alpha(spec: KernelSpec) -> float:
-    """Distance-term coefficient; sign is (-1)^(alpha + 1).
+def _log_gamma_ratio(a: int, d: int) -> float:
+    """log Gamma(a+1)^3 Gamma(d/2) / (Gamma(2a+2) Gamma(d/2+1/2+a)): finite for large a + d."""
+    return 3.0 * gammaln(a + 1) + gammaln(d / 2.0) - gammaln(2 * a + 2) - gammaln(d / 2.0 + 0.5 + a)
 
-    Ratios of Gamma functions go through log-Gamma so large alpha + d stay finite.
-    """
-    a, d = spec.alpha, spec.d
-    lg = (3.0 * gammaln(a + 1) + gammaln(d / 2.0)
-          - gammaln(2 * a + 2) - gammaln(d / 2.0 + 0.5 + a))
-    return (-1.0) ** (a + 1) * float(np.exp(lg)) / (4.0 * np.sqrt(np.pi))
+
+def c_alpha(spec: KernelSpec) -> float:
+    """Distance-term coefficient; sign is (-1)^(alpha + 1)."""
+    lg = _log_gamma_ratio(spec.alpha, spec.d)
+    return (-1.0) ** (spec.alpha + 1) * float(np.exp(lg)) / (4.0 * np.sqrt(np.pi))
 
 
 def spline_fourier_constant(spec: KernelSpec) -> float:
     """Positive constant b(alpha, d) scaling the |omega|^-(d+1+2 alpha) transform."""
     a, d = spec.alpha, spec.d
-    lg = (3.0 * gammaln(a + 1) + gammaln(d / 2.0)
-          - gammaln(2 * a + 2) - gammaln(d / 2.0 + 0.5 + a))
+    lg = _log_gamma_ratio(a, d)
     # |c| * 2^(d+1+2a) * pi^(d/2-1) * Gamma(a+3/2) * Gamma(d/2+1/2+a); signs cancel.
     lg_b = (lg + (d + 1 + 2 * a) * np.log(2.0) + (d / 2.0 - 1.0) * np.log(np.pi)
             + gammaln(a + 1.5) + gammaln(d / 2.0 + 0.5 + a))
@@ -109,7 +111,9 @@ def monomial_matrix(X, exponents) -> np.ndarray:
     """M[i, k] = prod_j X[i, j] ** exponents[k][j], shape (n, len(exponents))."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     E = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), X.shape[1])
-    return np.prod(X[:, None, :] ** E[None], axis=2)
+    powers = X[:, :, None] ** np.arange(E.max(initial=0) + 1)  # powers[i, j, k] = X[i, j] ** k
+    # the gather leaves M transposed in memory, and BLAS rounds M @ C by layout
+    return np.ascontiguousarray(np.prod(powers[:, np.arange(X.shape[1]), E], axis=2))
 
 
 @lru_cache(maxsize=32)
@@ -178,6 +182,20 @@ def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
     raise UnsupportedOrderError(f"arc-cosine kernel implemented for alpha <= 2, got {spec.alpha}")
 
 
+def _distance_term(A, B, spec: KernelSpec) -> np.ndarray:
+    """c(alpha, d) |a - b|^(2 alpha + 1) / R over the broadcast of A and B, shape (..., d)."""
+    dist = np.sqrt(sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d)))
+    return c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+
+
+def _add_distance_term(out, Xa, Xb, spec: KernelSpec) -> np.ndarray:
+    """out[i, j] += the distance term of Xa[i] and Xb[j], a block of rows at a time."""
+    step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, len(Xb)))
+    for i in range(0, len(Xa), step):
+        out[i:i + step] += _distance_term(Xa[i:i + step, None, :], Xb[None, :, :], spec)
+    return out
+
+
 def _validated(Xa, Xb, spec: KernelSpec, kind: str):
     if kind not in KERNEL_KINDS:
         raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
@@ -196,8 +214,7 @@ def kernel_pairs(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     pol = np.einsum("ij,ij->i", monomial_matrix(Xa, E) @ C, monomial_matrix(Xb, E))
     if kind == "pol_only":
         return pol
-    dist = np.linalg.norm(Xa - Xb, axis=1)
-    return pol + c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+    return pol + _distance_term(Xa, Xb, spec)
 
 
 def kd(x, y, spec: KernelSpec) -> float:
@@ -213,38 +230,21 @@ def arccos_kernel(x, y, spec: KernelSpec) -> float:
 def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind."""
     Xa, Xb = _validated(Xa, Xb, spec, kind)
-    if kind == "pol_only":
-        return _pol_part(Xa, Xb, spec)
-    sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
-    sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
-    dot = Xa @ Xb.T
     if kind == "arccos":
-        return np.asarray(_arccos_from_products(sq_a, sq_b, dot, spec))
+        sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
+        sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
+        return np.asarray(_arccos_from_products(sq_a, sq_b, Xa @ Xb.T, spec))
     pol = _pol_part(Xa, Xb, spec)
-    # Same operations in the same order as the expression
-    # pol + c * sqrt(max(|a|^2 + |b|^2 - 2 a.b, 0))^(2 alpha + 1) / R,
-    # but in place, so `dist` is the only array allocated after `dot` and `pol`.
-    dist = sq_a + sq_b
-    dot *= 2.0
-    dist -= dot
-    np.maximum(dist, 0.0, out=dist)
-    np.sqrt(dist, out=dist)
-    np.power(dist, 2 * spec.alpha + 1, out=dist)
-    dist *= c_alpha(spec)
-    dist /= spec.R
-    pol += dist
-    return pol
+    return pol if kind == "pol_only" else _add_distance_term(pol, Xa, Xb, spec)
 
 
 def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:
-    """Conditionally positive distance kernel c(alpha, d) |x - y|^(2 alpha + 1) / R."""
-    # scipy.spatial is imported on first use: it adds about 5 MiB and 70 ms to
-    # `import splinerf`, which fig1, fig2 and fig3 would pay without calling this.
-    from scipy.spatial.distance import cdist
+    """Conditionally positive distance kernel c(alpha, d) |x - y|^(2 alpha + 1) / R.
 
-    Xa = _as_points(Xa, spec.d)
-    Xb = _as_points(Xb, spec.d)
-    return c_alpha(spec) * cdist(Xa, Xb) ** (2 * spec.alpha + 1) / spec.R
+    The distance term of kernel_matrix on its own, exactly 0 where Xa[i] = Xb[j].
+    """
+    Xa, Xb = _as_points(Xa, spec.d), _as_points(Xb, spec.d)
+    return _add_distance_term(np.zeros((len(Xa), len(Xb))), Xa, Xb, spec)
 
 
 def gram(points, spec: KernelSpec, kind: str = "nn", jitter: float = 0.0) -> GramMatrix:

@@ -108,15 +108,14 @@ class GridLeverageEstimator:
     and ``score`` are its one-column forms.
     """
 
-    def __init__(self, grid, lam: float, spec: KernelSpec | None = None):
+    def __init__(self, grid, lam: float):
         lam = _check_lambda(lam)
         self.grid = np.asarray(grid, dtype=float).ravel()
         n = self.grid.size
         if n < 2:
             raise ValueError("grid estimator needs at least two points")
         self.lam = lam
-        self.spec = spec if spec is not None else KernelSpec(0, 1, 1.0)
-        K = kernel_matrix(self.grid[:, None], self.grid[:, None], self.spec)
+        K = kernel_matrix(self.grid[:, None], self.grid[:, None], KernelSpec(0, 1, 1.0))
         self._factor = factor_spd(K, n * lam)
 
     def scores(self, Phi) -> np.ndarray:

@@ -1,4 +1,8 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -6,6 +10,7 @@ import pytest
 
 from oracles import k1_pol, mc_arccos_kernel, mc_nn_kernel, nn_kernel_quadrature, pol_kernel_gaussian
 from splinerf.kernels import (
+    DISTANCE_BLOCK_ENTRIES,
     Derivative1DProfile,
     KernelSpec,
     UnsupportedOrderError,
@@ -317,22 +322,78 @@ def test_kernel_spec_validation():
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
 @pytest.mark.parametrize("d", [1, 3])
-def test_kernel_matrix_in_place_matches_out_of_place(alpha, d):
+def test_kernel_matrix_is_pol_part_plus_distance_term(alpha, d):
+    from scipy.spatial.distance import cdist  # an independent distance for the check only
+
     rng = np.random.default_rng(90 + 10 * alpha + d)
     spec = KernelSpec(alpha, d, 1.3)
     Xa = rng.uniform(-0.7, 0.7, (37, d))
     Xb = np.vstack([Xa[:5], rng.uniform(-0.7, 0.7, (24, d))])  # include zero distances
-    Xa_in, Xb_in = Xa.copy(), Xb.copy()
-    K = kernel_matrix(Xa, Xb, spec)
-    assert np.array_equal(Xa, Xa_in) and np.array_equal(Xb, Xb_in)
-    # the out-of-place expression kernel_matrix evaluates in place
-    sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
-    sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
-    dot = Xa @ Xb.T
-    pol = kernel_matrix(Xa, Xb, spec, kind="pol_only")
-    dist = np.sqrt(np.maximum(sq_a + sq_b - 2.0 * dot, 0.0))
-    expected = pol + c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
-    assert np.array_equal(K, expected)
+    rows_per_block = DISTANCE_BLOCK_ENTRIES // len(Xb)
+    Xa_blocks = np.vstack([Xb, rng.uniform(-0.7, 0.7, (3 * rows_per_block - 17, d))])
+    assert len(Xa_blocks) % rows_per_block  # several row blocks, the last one ragged
+    for A, B in [(Xa, Xb), (Xa_blocks, Xb), (Xa[:0], Xb), (Xa, Xb[:0])]:
+        A_in, B_in = A.copy(), B.copy()
+        K = kernel_matrix(A, B, spec)
+        D = distance_kernel_matrix(A, B, spec)
+        assert np.array_equal(A, A_in) and np.array_equal(B, B_in)
+        assert K.shape == D.shape == (len(A), len(B))
+        assert np.array_equal(K, kernel_matrix(A, B, spec, kind="pol_only") + D)
+        assert np.array_equal(D, c_alpha(spec) * cdist(A, B) ** (2 * alpha + 1) / spec.R)
+
+
+@pytest.fixture(scope="module")
+def ball_points_d3():
+    rng = np.random.default_rng(7)
+    g = rng.standard_normal((2000, 3))
+    return g / np.linalg.norm(g, axis=1)[:, None] * rng.uniform(0, 1, 2000)[:, None] ** (1 / 3)
+
+
+def test_kernel_matrix_matches_longdouble_reference(ball_points_d3):
+    # alpha = 0: the polynomial part is exactly 1/2, so only |x - y| can go wrong
+    X, spec = ball_points_d3, KernelSpec(0, 3)
+    K = kernel_matrix(X, X, spec)
+    Xl = X.astype(np.longdouble)
+    for i in range(0, len(X), 250):
+        dist = np.sqrt(((Xl[i:i + 250, None, :] - Xl[None, :, :]) ** 2).sum(axis=2))
+        want = 0.5 + np.longdouble(c_alpha(spec)) * dist / np.longdouble(spec.R)
+        assert np.abs(K[i:i + 250] - want).max() <= 1e-15
+
+
+def test_distance_term_vanishes_on_the_diagonal(ball_points_d3):
+    X, spec = ball_points_d3, KernelSpec(0, 3)
+    diag = np.diag(kernel_matrix(X, X, spec)) - np.diag(kernel_matrix(X, X, spec, kind="pol_only"))
+    assert np.count_nonzero(diag) == 0
+
+
+def test_scipy_spatial_is_never_imported(tmp_path):
+    script = f"""
+import sys
+import numpy as np
+from splinerf.cli import main
+from splinerf.kernels import KernelSpec, distance_kernel_matrix, kernel_matrix, kernel_pairs
+X = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 3))
+spec = KernelSpec(1, 3)
+kernel_matrix(X, X, spec), kernel_pairs(X, X, spec), distance_kernel_matrix(X, X, spec)
+assert main(["--experiment", "fig3", "--n", "64", "--out", {str(tmp_path / "fig3.csv")!r}]) == 0
+print(sorted(name for name in sys.modules if name.startswith("scipy.spatial")))
+"""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("alpha", range(7))
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_monomial_matrix_matches_broadcast_powers(alpha, d):
+    X = np.random.default_rng(130 + 10 * alpha + d).uniform(-1.0, 1.0, (41, d))
+    X[3] = 0.0  # 0 ** 0 is 1
+    E = np.array(monomial_exponents(d, alpha))
+    M = monomial_matrix(X, E)
+    assert np.array_equal(M, np.prod(X[:, None, :] ** E[None], axis=2))
+    assert M.flags.c_contiguous  # M @ C rounds by memory layout
 
 
 @pytest.mark.parametrize("alpha", range(7))
@@ -361,17 +422,18 @@ def test_pol_part_alpha0_is_exactly_one_half():
 
 def test_kernel_matrix_peak_memory_below_four_outputs():
     rng = np.random.default_rng(111)
-    X = rng.uniform(-0.5, 0.5, (1000, 3))
-    spec = KernelSpec(6, 3)
-    kernel_matrix(X[:10], X[:10], spec)  # build the cached coefficients outside the window
-    tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        K = kernel_matrix(X, X, spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * K.nbytes
+    # the second case is fig3's kernel, whose distance term is added a row block at a time
+    for X, spec, bound in [(rng.uniform(-0.5, 0.5, (1000, 3)), KernelSpec(6, 3), 4),
+                           (np.linspace(-1.0, 1.0, 1000)[:, None], KernelSpec(0, 1), 2)]:
+        kernel_matrix(X[:10], X[:10], spec)  # build the cached coefficients outside the window
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            K = kernel_matrix(X, X, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * K.nbytes, spec
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
