@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
-from .kernels import KernelSpec, kernel_matrix, kernel_pairs
+from .features import sample_fourier_ensemble, sample_nn_ensemble
+from .kernels import KernelSpec, kernel_pairs
 from .leverage import GridLeverageEstimator, fourier_profiles, nn_profile
-from .regression import FitConfig, factor_spd, fit_dual, fit_primal, predict
+from .regression import FitConfig, fit_dual, fit_primal, predict
 from .sampling import RngStream, derive_seed, sample_fourier_frequencies, sample_nn_params
 
 __all__ = ["ExperimentConfig", "main"]
@@ -156,19 +156,19 @@ def run_fig2(cfg: ExperimentConfig) -> None:
     reps = cfg.reps if cfg.reps is not None else 20
     m_grid = cfg.m_grid if cfg.m_grid else (32, 64, 128, 256, 512, 1024, 2048)
     test = np.linspace(-cfg.R, cfg.R, GRID_POINTS)[:, None]
+    # The interpolation operator K_test (K + jI)^{-1}, one row per test point, is
+    # the prediction at the test points of a fit to the n unit labels.
+    labels, fit_cfg = np.eye(n), FitConfig(jitter=INVERSION_JITTER)
     rows = []
     for rep in range(reps):
         data_rng = RngStream(derive_seed(cfg.seed, "fig2-data", rep)).generator()
         X = data_rng.uniform(-cfg.R, cfg.R, size=(n, 1))
-        # interpolation operators K_test (K + jI)^{-1}, one row per test point
-        exact = factor_spd(kernel_matrix(X, X, spec), INVERSION_JITTER).solve(
-            kernel_matrix(test, X, spec).T).T
+        exact = predict(fit_dual(X, labels, spec, fit_cfg), test)
         for m in m_grid:
             nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-nn", rep, m)))
             f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-fourier", rep, m)))
             for method, ens in (("nn", nn_ens), ("fourier", f_ens)):
-                approx = factor_spd(approx_kernel(X, X, ens), INVERSION_JITTER).solve(
-                    approx_kernel(test, X, ens).T).T
+                approx = predict(fit_primal(X, labels, ens, fit_cfg), test)
                 err = float(np.linalg.norm(exact - approx, ord="fro") ** 2)
                 rows.append((m, rep, method, err))
     metadata = [("experiment", "fig2"), ("alpha", cfg.alpha), ("radius", cfg.R),

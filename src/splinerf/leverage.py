@@ -104,8 +104,7 @@ class GridLeverageEstimator:
     """Grid estimator phi^T (K + n lam I)^{-1} phi, with K factorized once.
 
     ``scores(Phi)`` scores every column of an (n, k) matrix of feature values
-    with one multi-right-hand-side solve on the stored factor; ``score_values``
-    and ``score`` are its one-column forms.
+    with one multi-right-hand-side solve on the stored factor.
     """
 
     def __init__(self, grid, lam: float):
@@ -130,12 +129,6 @@ class GridLeverageEstimator:
                              f"got {Phi.shape}")
         Z = self._factor.solve(Phi)
         return np.array([Phi[:, j] @ Z[:, j] for j in range(Phi.shape[1])])
-
-    def score_values(self, phi) -> float:
-        return float(self.scores(np.reshape(phi, (-1, 1)))[0])
-
-    def score(self, feature, param) -> float:
-        return self.score_values(feature(self.grid, param))
 
 
 def _feature_matrix(features, grid, params) -> np.ndarray:
@@ -163,11 +156,16 @@ class LeverageProfile:
     n: int
 
 
-def nn_profile(lam: float, n: int = 4096, n_params: int = 201,
-               estimator: GridLeverageEstimator | None = None) -> LeverageProfile:
+def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
+    """The estimator's lambda, which lam must equal: one profile never mixes two lambdas."""
+    if float(lam) != estimator.lam:
+        raise ValueError(f"profile lambda {lam} differs from the estimator's lambda {estimator.lam}")
+    return estimator.lam
+
+
+def nn_profile(lam: float, estimator: GridLeverageEstimator, n_params: int = 201) -> LeverageProfile:
     """NN leverage profile over b in [-1, 1]."""
-    if estimator is None:
-        estimator = GridLeverageEstimator(np.linspace(-1, 1, n), lam)
+    lam = _estimator_lambda(lam, estimator)
     params = np.linspace(-1.0, 1.0, n_params)
     analytic = nn_leverage(params, lam)
     step = lambda x, b: (x > b).astype(float)
@@ -176,12 +174,10 @@ def nn_profile(lam: float, n: int = 4096, n_params: int = 201,
                            empirical=empirical, lam=lam, n=estimator.grid.size)
 
 
-def fourier_profiles(lam: float, n: int = 4096, n_params: int = 201,
-                     omega_max: float = 50.0,
-                     estimator: GridLeverageEstimator | None = None):
+def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int = 201,
+                     omega_max: float = 50.0):
     """Fourier cos/sin leverage profiles over omega in [0, omega_max]."""
-    if estimator is None:
-        estimator = GridLeverageEstimator(np.linspace(-1, 1, n), lam)
+    lam = _estimator_lambda(lam, estimator)
     params = np.linspace(0.0, omega_max, n_params)
     cos_scores, sin_scores = fourier_leverage(params, lam)
     cos = lambda x, o: np.cos(o * x)

@@ -66,6 +66,9 @@ class RegressionModel:
     kind "primal": f(x) = phi(x) . feature_weights (raw feature row)
     kind "constrained_spline": f(x) = sum_i dual_coeffs[i] E(x - x_i)
                                + monomials(x) . poly_coeffs
+
+    A fit to an (n, k) label matrix holds k coefficient columns, and predict
+    returns one column per label.
     """
 
     kind: str
@@ -77,7 +80,6 @@ class RegressionModel:
     feature_weights: np.ndarray | None = None
     jitter_used: float = 0.0
     residual: float = 0.0
-    mu: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -122,6 +124,14 @@ def factor_spd(K, shift: float = 0.0) -> SPDFactor:
         f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
 
 
+def _targets(y, n: int) -> np.ndarray:
+    """Targets as a float (n,) vector or (n, k) label matrix; any other shape raises."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[0] != n:
+        raise ValueError(f"targets must have shape ({n},) or ({n}, k), got {y.shape}")
+    return y
+
+
 def _shift(cfg: FitConfig, n: int) -> float:
     """Diagonal shift n mu + jitter of the n x n interpolation or ridge system."""
     if cfg.mode == "constrained_spline":
@@ -132,17 +142,14 @@ def _shift(cfg: FitConfig, n: int) -> float:
 def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> RegressionModel:
     """Kernel-space solve: lambda = (K + (n mu + jitter) I)^{-1} y."""
     X = _as_points(X, spec.d)
-    y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
-    if y.size != n:
-        raise ValueError("targets must match the number of points")
+    y = _targets(y, n)
     K = kernel_matrix(X, X, spec)
     factor = factor_spd(K, _shift(cfg, n))
     coeffs = factor.solve(y)
     residual = float(np.max(np.abs(K @ coeffs - y), initial=0.0))
     return RegressionModel(kind="dual", X=X, spec=spec, dual_coeffs=coeffs,
-                           jitter_used=cfg.jitter + factor.escalation, residual=residual,
-                           mu=cfg.mu)
+                           jitter_used=cfg.jitter + factor.escalation, residual=residual)
 
 
 def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig = FitConfig()) -> RegressionModel:
@@ -153,18 +160,15 @@ def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig 
     approximate kernel.
     """
     X = _as_points(X, ensemble.spec.d)
-    y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
-    if y.size != n:
-        raise ValueError("targets must match the number of points")
+    y = _targets(y, n)
     F = ensemble.features(X)
     K_hat = ensemble.scaling * (F @ F.T)
     factor = factor_spd(K_hat, _shift(cfg, n))
     eta = ensemble.scaling * (F.T @ factor.solve(y))
     residual = float(np.max(np.abs(F @ eta - y), initial=0.0))
     return RegressionModel(kind="primal", X=X, ensemble=ensemble, feature_weights=eta,
-                           jitter_used=cfg.jitter + factor.escalation, residual=residual,
-                           mu=cfg.mu)
+                           jitter_used=cfg.jitter + factor.escalation, residual=residual)
 
 
 def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mode="constrained_spline")) -> RegressionModel:
@@ -174,14 +178,12 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     where K holds only the conditionally positive distance kernel.
     """
     X = _as_points(X, spec.d)
-    y = np.asarray(y, dtype=float).ravel()
     n = X.shape[0]
+    y = _targets(y, n)
     n_poly = comb(spec.d + spec.alpha, spec.alpha)
     if n < n_poly:
         raise DegenerateDesignError(
             f"need at least {n_poly} points to pin the degree-{spec.alpha} polynomial block")
-    if y.size != n:
-        raise ValueError("targets must match the number of points")
     exps = monomial_exponents(spec.d, spec.alpha)
     Phi = monomial_matrix(X, exps)
     if np.linalg.matrix_rank(Phi) < n_poly:
@@ -193,7 +195,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     A[:n, :n] = K + (ridge + cfg.jitter) * np.eye(n)
     A[:n, n:] = Phi
     A[n:, :n] = Phi.T
-    rhs = np.concatenate([y, np.zeros(n_poly)])
+    rhs = np.concatenate([y, np.zeros((n_poly,) + y.shape[1:])])
     try:
         sol = sla.solve(A, rhs, assume_a="sym", check_finite=False)
     except np.linalg.LinAlgError as exc:
@@ -203,8 +205,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     lam, nu = sol[:n], sol[n:]
     residual = float(np.max(np.abs(K @ lam + Phi @ nu - y)))
     return RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
-                           poly_coeffs=nu, jitter_used=cfg.jitter, residual=residual,
-                           mu=cfg.mu)
+                           poly_coeffs=nu, jitter_used=cfg.jitter, residual=residual)
 
 
 def predict(model: RegressionModel, Xtest) -> np.ndarray:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from splinerf.cli import main
+from splinerf.regression import SPDFactor
 from splinerf.sampling import RngStream, derive_seed
 
 
@@ -158,6 +159,23 @@ def test_fig2_small_run(tmp_path):
     assert len(rows) == 3 * 2 * 2
     assert all(float(r[3]) >= 0.0 for r in rows)
     assert any("jitter" in line for line in meta)
+
+
+def test_fig2_solves_no_more_columns_than_rows(tmp_path, monkeypatch):
+    # a solve with many right-hand sides on a tiny factor stalls on the BLAS thread pools
+    solves = []
+    solve = SPDFactor.solve
+
+    def recording_solve(self, B):
+        solves.append((self.factor[0].shape[0], np.shape(B)))
+        return solve(self, B)
+
+    monkeypatch.setattr(SPDFactor, "solve", recording_solve)
+    assert main(["--experiment", "fig2", "--seed", "0", "--reps", "1",
+                 "--out", str(tmp_path / "f2.csv")]) == 0
+    assert solves
+    for rows, shape in solves:
+        assert shape[0] == rows and (len(shape) == 1 or shape[1] <= rows), (rows, shape)
 
 
 def test_fig2_m_grid_must_increase():

@@ -5,10 +5,14 @@ lines, headers and label columns must match exactly. Numeric columns must
 match to rtol 1e-12: BLAS rounding differs with the thread count (about 1e-15
 relative between 1 and 2 OpenBLAS threads on fig2 and fig3), while any change
 to the numerics shows far above that. feature-sample calls no BLAS and must
-match byte for byte.
+match byte for byte. fig2 is checked at the default thread count and, in a
+fresh interpreter, at one OpenBLAS thread against the same reference.
 """
 
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -63,6 +67,16 @@ def test_cli_matches_reference(tmp_path, name):
 def test_fig2_matches_reference(fig2_run):
     path, _ = fig2_run
     _assert_matches_reference(path, "fig2.csv")
+
+
+def test_fig2_matches_reference_at_one_blas_thread(tmp_path):
+    out = tmp_path / "fig2.csv"
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "splinerf", "--experiment", "fig2", "--seed", "0",
+                    "--out", str(out)], env=env, check=True)
+    _assert_matches_reference(out, "fig2.csv")
 
 
 def test_feature_sample_is_byte_identical(tmp_path):

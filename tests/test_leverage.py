@@ -117,16 +117,22 @@ def test_oracle_matches_nn_closed_form():
         assert abs(got - want) <= 0.01 * want
 
 
+def _score(estimator, values):
+    """Grid score of one feature column."""
+    return estimator.scores(np.reshape(values, (-1, 1)))[0]
+
+
 def test_triple_agreement():
     # closed form, grid estimator and operator oracle agree within 5%
     lam = 1e-3
     n = 2048
     estimator = GridLeverageEstimator(np.linspace(-1, 1, n), lam)
+    grid = estimator.grid
     b_grid = np.linspace(-0.9, 0.9, 10)
     nn_closed = nn_leverage(b_grid, lam)
     scale = nn_closed.max()
     for b, closed in zip(b_grid, nn_closed):
-        emp = estimator.score(lambda x, b=b: (x > b).astype(float), b)
+        emp = _score(estimator, (grid > b).astype(float))
         orc = oracle_leverage(lambda x, b=b: (x > b).astype(float), lam, n=2049)
         assert abs(emp - closed) <= 0.05 * scale
         assert abs(orc - closed) <= 0.05 * scale
@@ -134,20 +140,20 @@ def test_triple_agreement():
     cos_closed, sin_closed = fourier_leverage(om_grid, lam)
     scale = cos_closed.max()
     for om, ccl, scl in zip(om_grid, cos_closed, sin_closed):
-        emp_c = estimator.score(lambda x, o=om: np.cos(o * x), om)
-        emp_s = estimator.score(lambda x, o=om: np.sin(o * x), om)
+        emp_c = _score(estimator, np.cos(om * grid))
+        emp_s = _score(estimator, np.sin(om * grid))
         assert abs(emp_c - ccl) <= 0.05 * scale
         assert abs(emp_s - scl) <= 0.05 * scale
 
 
 def test_empirical_edge_cases():
     grid = np.linspace(-1, 1, 64)
-    assert GridLeverageEstimator(grid, 1e-3).score(lambda x, p: np.zeros_like(x), None) == 0.0
+    assert _score(GridLeverageEstimator(grid, 1e-3), np.zeros_like(grid)) == 0.0
     with pytest.raises(ValueError):
         GridLeverageEstimator(np.array([0.0]), 1e-3)
     est = GridLeverageEstimator(grid, 1e-3)
     with pytest.raises(ValueError):
-        est.score_values(np.zeros(10))
+        _score(est, np.zeros(10))
 
 
 def test_batched_scores_match_single_column_solves():
@@ -162,7 +168,7 @@ def test_batched_scores_match_single_column_solves():
     looped = np.array([phi @ sla.cho_solve(est._factor.factor, phi, check_finite=False)
                        for phi in columns])
     assert np.array_equal(batched, looped)
-    assert est.score_values(columns[5]) == looped[5]
+    assert _score(est, columns[5]) == looped[5]
 
 
 def test_batched_scores_reject_bad_shapes():
@@ -176,21 +182,34 @@ def test_batched_scores_reject_bad_shapes():
 def test_profiles_match_per_parameter_scores():
     lam = 1e-3
     est = GridLeverageEstimator(np.linspace(-1, 1, 512), lam)
+    grid = est.grid
     prof = nn_profile(lam, n_params=41, estimator=est)
-    per_param = [est.score(lambda x, b: (x > b).astype(float), b) for b in prof.params]
+    per_param = [_score(est, (grid > b).astype(float)) for b in prof.params]
     assert np.array_equal(prof.empirical, per_param)
     cos_prof, sin_prof = fourier_profiles(lam, n_params=41, estimator=est)
     assert np.array_equal(cos_prof.empirical,
-                          [est.score(lambda x, o: np.cos(o * x), o) for o in cos_prof.params])
+                          [_score(est, np.cos(o * grid)) for o in cos_prof.params])
     assert np.array_equal(sin_prof.empirical,
-                          [est.score(lambda x, o: np.sin(o * x), o) for o in sin_prof.params])
+                          [_score(est, np.sin(o * grid)) for o in sin_prof.params])
+
+
+def test_profiles_reject_a_different_lambda():
+    # the analytic column would use lam and the empirical one the estimator's lambda
+    est = GridLeverageEstimator(np.linspace(-1, 1, 64), 1e-3)
+    with pytest.raises(ValueError):
+        nn_profile(1e-2, estimator=est)
+    with pytest.raises(ValueError):
+        fourier_profiles(1e-2, estimator=est)
+    assert nn_profile(1e-3, estimator=est).lam == est.lam
+    assert all(prof.lam == est.lam for prof in fourier_profiles(1e-3, estimator=est))
 
 
 def test_profile_shapes_and_positivity():
-    prof = nn_profile(1e-2, n=256, n_params=31)
+    est = GridLeverageEstimator(np.linspace(-1, 1, 256), 1e-2)
+    prof = nn_profile(1e-2, estimator=est, n_params=31)
     assert prof.params.size == prof.analytic.size == prof.empirical.size == 31
     assert np.all(prof.analytic >= 0) and np.all(prof.empirical >= -1e-12)
-    cos_prof, sin_prof = fourier_profiles(1e-2, n=256, n_params=17, omega_max=20.0)
+    cos_prof, sin_prof = fourier_profiles(1e-2, estimator=est, n_params=17, omega_max=20.0)
     assert cos_prof.method == "fourier-cos" and sin_prof.method == "fourier-sin"
     assert np.all(cos_prof.analytic >= 0) and np.all(sin_prof.analytic >= 0)
 

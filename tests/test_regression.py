@@ -93,6 +93,49 @@ def test_primal_zero_targets():
     assert np.all(model.feature_weights == 0.0)
 
 
+# coefficient arrays each fit fills, one column per label in a label-matrix fit
+COEFFICIENTS = {"fit_dual": ("dual_coeffs",), "fit_primal": ("feature_weights",),
+                "fit_constrained_spline": ("dual_coeffs", "poly_coeffs")}
+
+
+def _label_matrix_fits():
+    spec = KernelSpec(1, 2, 1.0)
+    X = np.random.default_rng(11).uniform(-0.7, 0.7, (12, 2))
+    ens = sample_nn_ensemble(spec, 64, RngStream(12))
+    ridge = FitConfig(mode="ridge", mu=1e-3)
+    return X, {
+        "fit_dual": lambda y: fit_dual(X, y, spec, ridge),
+        "fit_primal": lambda y: fit_primal(X, y, ens, ridge),
+        "fit_constrained_spline": lambda y: fit_constrained_spline(X, y, spec),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+def test_label_matrix_matches_column_fits(name):
+    X, fits = _label_matrix_fits()
+    Y = np.random.default_rng(13).standard_normal((X.shape[0], 3))
+    Xt = np.random.default_rng(14).uniform(-0.7, 0.7, (30, 2))
+    model = fits[name](Y)
+    preds = predict(model, Xt)
+    assert preds.shape == (30, 3)
+    for j in range(3):
+        column = fits[name](Y[:, j])
+        pairs = [(preds[:, j], predict(column, Xt))]
+        pairs += [(getattr(model, attr)[:, j], getattr(column, attr)) for attr in COEFFICIENTS[name]]
+        for got, want in pairs:
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+def test_targets_of_wrong_shape_rejected(name):
+    X, fits = _label_matrix_fits()
+    n = X.shape[0]
+    for shape in [(n + 1,), (n, 3, 1)]:
+        with pytest.raises(ValueError):
+            fits[name](np.ones(shape))
+
+
 def test_constrained_polynomial_reproduction():
     rng = np.random.default_rng(3)
     for d, alpha in [(1, 0), (1, 2), (2, 1), (3, 1)]:
