@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import sys
 from array import array
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,46 +20,12 @@ from .leverage import GridLeverageEstimator, fourier_profiles, nn_profile
 from .regression import FitConfig, fit_dual, fit_primal, predict
 from .sampling import RngStream, derive_seed, sample_fourier_frequencies, sample_nn_params
 
-__all__ = ["ExperimentConfig", "main"]
+__all__ = ["main"]
 
-EXPERIMENTS = ("fig1", "fig2", "fig3", "kernel-eval", "feature-sample")
-DEFAULT_LAMBDA = 1e-3
-# Flags an experiment is built for or never reads, with the one value it accepts (None: unset).
-FIXED_FLAGS = {
-    "fig1": {"dim": 1, "lambda": DEFAULT_LAMBDA},
-    "fig2": {"dim": 1, "lambda": DEFAULT_LAMBDA},
-    "fig3": {"alpha": 0, "dim": 1, "radius": 1.0, "m": None, "reps": None},
-    "feature-sample": {"alpha": 0},
-}
 INVERSION_JITTER = 1e-10
 # Largest training residual an interpolating fig1 fit may leave without a stderr report.
 FIG1_RESIDUAL_TOL = 1e-6
 GRID_POINTS = 512
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    experiment: str
-    alpha: int = 0
-    d: int = 1
-    R: float = 1.0
-    n: int | None = None
-    m_grid: tuple = ()
-    lam: float = DEFAULT_LAMBDA
-    reps: int | None = None
-    seed: int = 0
-    out: str = ""
-    gnuplot: bool = False
-    kind: str = "nn"
-    kernel: str = "nn"
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {self.experiment!r}")
-        if self.reps is not None and self.reps < 1:
-            raise ValueError("reps must be >= 1")
-        if any(b <= a for a, b in zip(self.m_grid, self.m_grid[1:])):
-            raise ValueError("m grid must be strictly increasing")
 
 
 def _fmt(value) -> str:
@@ -82,12 +47,10 @@ def _write_csv(out: str, metadata, header, rows) -> None:
             fh.write(text)
 
 
-def _write_gnuplot(cfg: ExperimentConfig, script: str) -> None:
-    if not cfg.gnuplot or cfg.out == "-":
-        return
-    path = cfg.out.rsplit(".", 1)[0] + ".gp"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(script)
+def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
+    if args.gnuplot:
+        with open(args.out.rsplit(".", 1)[0] + ".gp", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(script)
 
 
 def _refined_grid(R: float, train: np.ndarray, n_grid: int = GRID_POINTS) -> np.ndarray:
@@ -108,25 +71,22 @@ def _refined_grid(R: float, train: np.ndarray, n_grid: int = GRID_POINTS) -> np.
     return np.sort(grid)
 
 
-def run_fig1(cfg: ExperimentConfig) -> None:
+def run_fig1(args: argparse.Namespace) -> None:
     """Minimum-norm interpolation curves: exact kernel vs both feature maps."""
-    spec = KernelSpec(cfg.alpha, 1, cfg.R)
-    n = cfg.n if cfg.n is not None else 10
-    m = cfg.m_grid[0] if cfg.m_grid else 200
-    draws = cfg.reps if cfg.reps is not None else 4
-    data_rng = RngStream(derive_seed(cfg.seed, "fig1-data")).generator()
-    X = data_rng.uniform(-cfg.R, cfg.R, size=(n, 1))
-    y = data_rng.standard_normal(n)
-    grid = _refined_grid(cfg.R, X)[:, None]
+    spec = KernelSpec(args.alpha, 1, args.radius)
+    data_rng = RngStream(derive_seed(args.seed, "fig1-data")).generator()
+    X = data_rng.uniform(-args.radius, args.radius, size=(args.n, 1))
+    y = data_rng.standard_normal(args.n)
+    grid = _refined_grid(args.radius, X)[:, None]
     # Interpolation fits start at zero jitter; the solver ladder only kicks in
     # when the factorization fails, keeping training residuals ~1e-12.
     fit_cfg = FitConfig(jitter=0.0)
     exact = fit_dual(X, y, spec, fit_cfg)
     exact_curve = predict(exact, grid)
     rows = []
-    for draw in range(draws):
-        nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig1-nn", draw)))
-        f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig1-fourier", draw)))
+    for draw in range(args.reps):
+        nn_ens = sample_nn_ensemble(spec, args.m, RngStream(derive_seed(args.seed, "fig1-nn", draw)))
+        f_ens = sample_fourier_ensemble(spec, args.m, RngStream(derive_seed(args.seed, "fig1-fourier", draw)))
         models = {"nn": fit_primal(X, y, nn_ens, fit_cfg),
                   "fourier": fit_primal(X, y, f_ens, fit_cfg),
                   "exact": exact}
@@ -138,126 +98,141 @@ def run_fig1(cfg: ExperimentConfig) -> None:
             curve = exact_curve if method == "exact" else predict(model, grid)
             for xv, fv in zip(grid.ravel(), curve):
                 rows.append((draw, method, xv, fv))
-    metadata = [("experiment", "fig1"), ("alpha", cfg.alpha), ("radius", cfg.R),
-                ("n", n), ("m", m), ("draws", draws), ("seed", cfg.seed),
+    metadata = [("experiment", "fig1"), ("alpha", args.alpha), ("radius", args.radius),
+                ("n", args.n), ("m", args.m), ("draws", args.reps), ("seed", args.seed),
                 ("base_jitter", 0.0)]
-    _write_csv(cfg.out, metadata, ["draw", "method", "x", "f"], rows)
-    _write_gnuplot(cfg, (
+    _write_csv(args.out, metadata, ["draw", "method", "x", "f"], rows)
+    _write_gnuplot(args, (
         "set datafile separator ','\n"
-        f"plot '{cfg.out}' using 3:(strcol(2) eq \"exact\" ? $4 : 1/0) with lines title 'exact', \\\n"
-        f"     '{cfg.out}' using 3:(strcol(2) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
-        f"     '{cfg.out}' using 3:(strcol(2) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
+        f"plot '{args.out}' using 3:(strcol(2) eq \"exact\" ? $4 : 1/0) with lines title 'exact', \\\n"
+        f"     '{args.out}' using 3:(strcol(2) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
+        f"     '{args.out}' using 3:(strcol(2) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
 
 
-def run_fig2(cfg: ExperimentConfig) -> None:
+def run_fig2(args: argparse.Namespace) -> None:
     """Label-averaged interpolation error of both feature maps versus m."""
-    spec = KernelSpec(cfg.alpha, 1, cfg.R)
-    n = cfg.n if cfg.n is not None else 20
-    reps = cfg.reps if cfg.reps is not None else 20
-    m_grid = cfg.m_grid if cfg.m_grid else (32, 64, 128, 256, 512, 1024, 2048)
-    test = np.linspace(-cfg.R, cfg.R, GRID_POINTS)[:, None]
+    spec = KernelSpec(args.alpha, 1, args.radius)
+    n = args.n
+    test = np.linspace(-args.radius, args.radius, GRID_POINTS)[:, None]
     # The interpolation operator K_test (K + jI)^{-1}, one row per test point, is
     # the prediction at the test points of a fit to the n unit labels.
     labels, fit_cfg = np.eye(n), FitConfig(jitter=INVERSION_JITTER)
     rows = []
-    for rep in range(reps):
-        data_rng = RngStream(derive_seed(cfg.seed, "fig2-data", rep)).generator()
-        X = data_rng.uniform(-cfg.R, cfg.R, size=(n, 1))
+    for rep in range(args.reps):
+        data_rng = RngStream(derive_seed(args.seed, "fig2-data", rep)).generator()
+        X = data_rng.uniform(-args.radius, args.radius, size=(n, 1))
         exact = predict(fit_dual(X, labels, spec, fit_cfg), test)
-        for m in m_grid:
-            nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-nn", rep, m)))
-            f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(cfg.seed, "fig2-fourier", rep, m)))
+        for m in args.m:
+            nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-nn", rep, m)))
+            f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-fourier", rep, m)))
             for method, ens in (("nn", nn_ens), ("fourier", f_ens)):
                 approx = predict(fit_primal(X, labels, ens, fit_cfg), test)
                 err = float(np.linalg.norm(exact - approx, ord="fro") ** 2)
                 rows.append((m, rep, method, err))
-    metadata = [("experiment", "fig2"), ("alpha", cfg.alpha), ("radius", cfg.R),
-                ("n", n), ("reps", reps), ("m_grid", " ".join(str(m) for m in m_grid)),
-                ("test_points", GRID_POINTS), ("seed", cfg.seed),
+    metadata = [("experiment", "fig2"), ("alpha", args.alpha), ("radius", args.radius),
+                ("n", n), ("reps", args.reps), ("m_grid", " ".join(str(m) for m in args.m)),
+                ("test_points", GRID_POINTS), ("seed", args.seed),
                 ("jitter", INVERSION_JITTER)]
-    _write_csv(cfg.out, metadata, ["m", "rep", "method", "error"], rows)
-    _write_gnuplot(cfg, (
+    _write_csv(args.out, metadata, ["m", "rep", "method", "error"], rows)
+    _write_gnuplot(args, (
         "set datafile separator ','\nset logscale xy\n"
-        f"plot '{cfg.out}' using 1:(strcol(3) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
-        f"     '{cfg.out}' using 1:(strcol(3) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
+        f"plot '{args.out}' using 1:(strcol(3) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
+        f"     '{args.out}' using 1:(strcol(3) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
 
 
-def run_fig3(cfg: ExperimentConfig) -> None:
+def run_fig3(args: argparse.Namespace) -> None:
     """Empirical vs analytic leverage profiles at fixed lambda."""
-    n = cfg.n if cfg.n is not None else 4096
-    estimator = GridLeverageEstimator(np.linspace(-1.0, 1.0, n), cfg.lam)
-    profiles = [nn_profile(cfg.lam, estimator=estimator)]
-    profiles.extend(fourier_profiles(cfg.lam, estimator=estimator))
+    lam = getattr(args, "lambda")
+    estimator = GridLeverageEstimator(np.linspace(-1.0, 1.0, args.n), lam)
+    profiles = [nn_profile(lam, estimator=estimator)]
+    profiles.extend(fourier_profiles(lam, estimator=estimator))
     rows = []
     for prof in profiles:
         for param, emp, theo in zip(prof.params, prof.empirical, prof.analytic):
             rows.append((prof.method, param, emp, theo))
-    metadata = [("experiment", "fig3"), ("lambda", cfg.lam), ("n", n),
-                ("params_per_method", profiles[0].params.size), ("seed", cfg.seed)]
-    _write_csv(cfg.out, metadata, ["method", "param", "empirical", "theoretical"], rows)
-    _write_gnuplot(cfg, (
+    metadata = [("experiment", "fig3"), ("lambda", lam), ("n", args.n),
+                ("params_per_method", profiles[0].params.size), ("seed", args.seed)]
+    _write_csv(args.out, metadata, ["method", "param", "empirical", "theoretical"], rows)
+    _write_gnuplot(args, (
         "set datafile separator ','\n"
-        f"plot '{cfg.out}' using 2:(strcol(1) eq \"nn\" ? $3 : 1/0) title 'nn empirical', \\\n"
-        f"     '{cfg.out}' using 2:(strcol(1) eq \"nn\" ? $4 : 1/0) with lines title 'nn theory'\n"))
+        f"plot '{args.out}' using 2:(strcol(1) eq \"nn\" ? $3 : 1/0) title 'nn empirical', \\\n"
+        f"     '{args.out}' using 2:(strcol(1) eq \"nn\" ? $4 : 1/0) with lines title 'nn theory'\n"))
 
 
-def run_kernel_eval(cfg: ExperimentConfig, stdin=None) -> int:
+def run_kernel_eval(args: argparse.Namespace) -> int:
     """Evaluate the kernel on point pairs read from stdin, one pair per line.
 
     All lines are parsed first, then the valid pairs are evaluated in one call:
     a malformed line is reported by its number, a kernel error (such as an
     unsupported alpha) once, with no rows written.
     """
-    spec = KernelSpec(cfg.alpha, cfg.d, cfg.R)
-    stdin = stdin if stdin is not None else sys.stdin
+    d = args.dim
+    spec = KernelSpec(args.alpha, d, args.radius)
     linenos, pairs = [], array("d")
     n_bad = 0
-    for lineno, line in enumerate(stdin, start=1):
+    for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line:
             continue
         try:
             values = [float(tok) for tok in line.split()]
-            if len(values) != 2 * cfg.d:
-                raise ValueError(f"expected {2 * cfg.d} reals, got {len(values)}")
+            if len(values) != 2 * d:
+                raise ValueError(f"expected {2 * d} reals, got {len(values)}")
         except ValueError as exc:
             print(f"line {lineno}: {exc}", file=sys.stderr)
             n_bad += 1
             continue
         linenos.append(lineno)
         pairs.extend(values)
-    P = np.asarray(pairs).reshape(len(linenos), 2 * cfg.d)
+    P = np.asarray(pairs).reshape(len(linenos), 2 * d)
     try:
-        rows = list(zip(linenos, kernel_pairs(P[:, :cfg.d], P[:, cfg.d:], spec, cfg.kernel)))
+        rows = list(zip(linenos, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel)))
     except ValueError as exc:
         print(f"kernel-eval: {exc}", file=sys.stderr)
         rows = []
         n_bad += 1
-    metadata = [("experiment", "kernel-eval"), ("alpha", cfg.alpha), ("dim", cfg.d),
-                ("radius", cfg.R), ("kernel", cfg.kernel)]
-    _write_csv(cfg.out, metadata, ["line", "value"], rows)
+    metadata = [("experiment", "kernel-eval"), ("alpha", args.alpha), ("dim", d),
+                ("radius", args.radius), ("kernel", args.kernel)]
+    _write_csv(args.out, metadata, ["line", "value"], rows)
     return 1 if n_bad else 0
 
 
-def run_feature_sample(cfg: ExperimentConfig) -> None:
+def run_feature_sample(args: argparse.Namespace) -> None:
     """Emit sampled feature parameters for scripting."""
-    m = cfg.m_grid[0] if cfg.m_grid else 8
-    stream = RngStream(derive_seed(cfg.seed, "feature-sample", cfg.kind))
+    d, m = args.dim, args.m
+    stream = RngStream(derive_seed(args.seed, "feature-sample", args.kind))
     rows = []
-    if cfg.kind == "nn":
-        params = sample_nn_params(cfg.d, cfg.R, m, stream)
-        header = ["index", "bias"] + [f"w{i+1}" for i in range(cfg.d)]
+    if args.kind == "nn":
+        params = sample_nn_params(d, args.radius, m, stream)
+        header = ["index", "bias"] + [f"w{i+1}" for i in range(d)]
         for j in range(m):
             rows.append((j, params.biases[j], *params.directions[j]))
     else:
-        freqs = sample_fourier_frequencies(cfg.d, cfg.R, m, stream)
+        freqs = sample_fourier_frequencies(d, args.radius, m, stream)
         omegas = freqs.omegas
-        header = ["index", "tau"] + [f"omega{i+1}" for i in range(cfg.d)]
+        header = ["index", "tau"] + [f"omega{i+1}" for i in range(d)]
         for j in range(m):
             rows.append((j, freqs.taus[j], *omegas[j]))
-    metadata = [("experiment", "feature-sample"), ("kind", cfg.kind), ("dim", cfg.d),
-                ("radius", cfg.R), ("m", m), ("seed", cfg.seed)]
-    _write_csv(cfg.out, metadata, header, rows)
+    metadata = [("experiment", "feature-sample"), ("kind", args.kind), ("dim", d),
+                ("radius", args.radius), ("m", m), ("seed", args.seed)]
+    _write_csv(args.out, metadata, header, rows)
+
+
+# experiment: (runner, default --out, {flag it reads: its default here, None for the parser's}).
+# Every experiment also reads --out.  An int default for --m means one feature
+# count, a tuple means a strictly increasing grid.
+EXPERIMENTS = {
+    "fig1": (run_fig1, "fig1.csv", {"alpha": None, "radius": None, "n": 10, "m": 200, "reps": 4,
+                                    "seed": None, "gnuplot": None}),
+    "fig2": (run_fig2, "fig2.csv", {"alpha": None, "radius": None, "n": 20,
+                                    "m": (32, 64, 128, 256, 512, 1024, 2048), "reps": 20,
+                                    "seed": None, "gnuplot": None}),
+    "fig3": (run_fig3, "fig3.csv", {"n": 4096, "lambda": None, "seed": None, "gnuplot": None}),
+    "kernel-eval": (run_kernel_eval, "-", {"alpha": None, "dim": None, "radius": None,
+                                           "kernel": None}),
+    "feature-sample": (run_feature_sample, "-", {"dim": None, "radius": None, "m": 8,
+                                                 "kind": None, "seed": None}),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--radius", type=float, default=1.0)
     parser.add_argument("--n", type=int, default=None)
     parser.add_argument("--m", type=int, action="append", default=None,
-                        help="feature count; repeat the flag for an m-grid")
-    parser.add_argument("--lambda", type=float, default=DEFAULT_LAMBDA)
+                        help="feature count; repeat the flag for fig2's m-grid")
+    parser.add_argument("--lambda", type=float, default=1e-3)
     parser.add_argument("--reps", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output CSV path ('-' for stdout)")
@@ -287,33 +262,33 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = args.out
-    if out is None:
-        out = "-" if args.experiment in ("kernel-eval", "feature-sample") else f"{args.experiment}.csv"
-    for flag, value in FIXED_FLAGS.get(args.experiment, {}).items():
-        if getattr(args, flag) != value:
+    run, out, reads = EXPERIMENTS[args.experiment]
+    for flag, value in vars(args).items():
+        default = parser.get_default(flag)
+        if flag not in reads and flag not in ("experiment", "out") and value != default:
             parser.error(f"{args.experiment} only supports --{flag} "
-                         f"{'unset' if value is None else value}, got {getattr(args, flag)}")
-    cfg = ExperimentConfig(
-        experiment=args.experiment, alpha=args.alpha, d=args.dim, R=args.radius,
-        n=args.n, m_grid=tuple(args.m) if args.m else (), lam=getattr(args, "lambda"),
-        reps=args.reps, seed=args.seed, out=out, gnuplot=args.gnuplot,
-        kind=args.kind, kernel=args.kernel)
+                         f"{'unset' if default is None else default}, got {value}")
+    if args.m is not None and isinstance(reads["m"], int):
+        if len(args.m) > 1:
+            parser.error(f"{args.experiment} takes one --m, got {' '.join(map(str, args.m))}")
+        args.m = args.m[0]
+    elif args.m is not None and any(b <= a for a, b in zip(args.m, args.m[1:])):
+        parser.error(f"--m grid must be strictly increasing, got {' '.join(map(str, args.m))}")
+    if args.reps is not None and args.reps < 1:
+        parser.error(f"--reps must be >= 1, got {args.reps}")
+    for flag, default in reads.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+    args.out = out if args.out is None else args.out
+    if args.gnuplot and args.out == "-":
+        parser.error("--gnuplot writes its script next to the CSV, so it needs --out FILE")
     try:
-        if cfg.experiment == "fig1":
-            run_fig1(cfg)
-        elif cfg.experiment == "fig2":
-            run_fig2(cfg)
-        elif cfg.experiment == "fig3":
-            run_fig3(cfg)
-        elif cfg.experiment == "kernel-eval":
-            return run_kernel_eval(cfg)
-        else:
-            run_feature_sample(cfg)
+        return run(args) or 0
     except OSError as exc:
-        print(f"cannot write {cfg.out!r}: {exc}", file=sys.stderr)
-        return 1
-    return 0
+        print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        print(f"{args.experiment}: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

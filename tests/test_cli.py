@@ -178,13 +178,36 @@ def test_fig2_solves_no_more_columns_than_rows(tmp_path, monkeypatch):
         assert shape[0] == rows and (len(shape) == 1 or shape[1] <= rows), (rows, shape)
 
 
-def test_fig2_m_grid_must_increase():
-    with pytest.raises(ValueError):
+def test_fig2_m_grid_must_increase(tmp_path, capsys):
+    out = tmp_path / "f2.csv"
+    with pytest.raises(SystemExit) as exc:
         main(["--experiment", "fig2", "--reps", "1", "--m", "64", "--m", "32",
-              "--out", "-"])
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert "--m grid must be strictly increasing" in capsys.readouterr().err
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("experiment, flag, value", [
+# The flags each experiment reads, as README's CLI table lists them; every
+# experiment also reads --out.  Any other flag must keep its default.
+READS = {
+    "fig1": {"--alpha", "--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
+    "fig2": {"--alpha", "--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
+    "fig3": {"--n", "--lambda", "--seed", "--gnuplot"},
+    "kernel-eval": {"--alpha", "--dim", "--radius", "--kernel"},
+    "feature-sample": {"--dim", "--radius", "--m", "--kind", "--seed"},
+}
+# A value other than the default for every flag but --out (None: a switch).
+OTHER_VALUE = {"--alpha": "1", "--dim": "2", "--radius": "2.0", "--n": "64", "--m": "64",
+               "--lambda": "0.1", "--reps": "3", "--seed": "5", "--gnuplot": None,
+               "--kind": "fourier", "--kernel": "arccos"}
+# Settings that keep a run small; a case overrides the one flag it tests.
+SMALL = {"fig1": {"--n": "4", "--m": "8", "--reps": "1"},
+         "fig2": {"--n": "4", "--m": "8", "--reps": "1"},
+         "fig3": {"--n": "64"},
+         "kernel-eval": {},
+         "feature-sample": {}}
+REJECTED = [
     ("fig1", "--dim", "2"),
     ("fig2", "--dim", "3"),
     ("fig3", "--dim", "2"),
@@ -195,14 +218,73 @@ def test_fig2_m_grid_must_increase():
     ("fig1", "--lambda", "0.1"),
     ("fig2", "--lambda", "1e-6"),
     ("feature-sample", "--alpha", "2"),
-])
+]
+LISTED = {(experiment, flag) for experiment, flag, _ in REJECTED}
+REJECTED += [(experiment, flag, OTHER_VALUE[flag])
+             for experiment, reads in READS.items() for flag in sorted(OTHER_VALUE)
+             if flag not in reads and (experiment, flag) not in LISTED]
+
+
+def _argv(experiment, flags, out):
+    argv = ["--experiment", experiment, "--out", str(out)]
+    for flag, value in flags.items():
+        argv += [flag] if value is None else [flag, value]
+    return argv
+
+
+@pytest.mark.parametrize("experiment, flag, value", REJECTED)
 def test_fixed_flags_rejected(tmp_path, capsys, experiment, flag, value):
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exc:
-        main(["--experiment", experiment, flag, value, "--out", str(out)])
-    assert exc.value.code != 0
+        main(_argv(experiment, {flag: value}, out))
+    assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"{experiment} only supports {flag}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, flag", sorted(
+    (experiment, flag) for experiment, reads in READS.items() for flag in reads))
+def test_read_flags_accepted(tmp_path, monkeypatch, experiment, flag):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    # A flag that is read is no usage error; fig1 and fig2 at --alpha 1 then
+    # stop in the library, since Fourier features exist for alpha = 0 only.
+    rc = main(_argv(experiment, {**SMALL[experiment], flag: OTHER_VALUE[flag]},
+                    tmp_path / "out.csv"))
+    assert rc == (1 if flag == "--alpha" and experiment in ("fig1", "fig2") else 0)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--experiment", "fig1", "--m", "8", "--m", "16"], "fig1 takes one --m, got 8 16"),
+    (["--experiment", "feature-sample", "--m", "8", "--m", "16"],
+     "feature-sample takes one --m, got 8 16"),
+    (["--experiment", "fig1", "--reps", "0"], "--reps must be >= 1, got 0"),
+    (["--experiment", "fig3", "--n", "64", "--gnuplot", "--out", "-"], "--gnuplot writes"),
+], ids=["fig1-repeated-m", "feature-sample-repeated-m", "reps-0", "gnuplot-to-stdout"])
+def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.chdir(tmp_path)  # where the default --out would land
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--experiment", "fig3", "--n", "1"], "fig3: grid estimator needs at least two points"),
+    (["--experiment", "fig3", "--n", "64", "--lambda", "0"],
+     "fig3: regularization lambda must be positive"),
+    (["--experiment", "fig1", "--radius", "-1"], "fig1: radius must be positive"),
+    (["--experiment", "fig1", "--m", "0"], "fig1: nn feature map requires at least one"),
+    (["--experiment", "kernel-eval", "--dim", "0"], "kernel-eval: dimension must be >= 1"),
+], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "fig1-m-0", "kernel-eval-dim-0"])
+def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
+    out = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(message), err
     assert not out.exists()
 
 
