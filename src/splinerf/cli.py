@@ -73,7 +73,7 @@ def _refined_grid(R: float, train: np.ndarray, n_grid: int = GRID_POINTS) -> np.
 
 def run_fig1(args: argparse.Namespace) -> None:
     """Minimum-norm interpolation curves: exact kernel vs both feature maps."""
-    spec = KernelSpec(args.alpha, 1, args.radius)
+    spec = KernelSpec(0, 1, args.radius)
     data_rng = RngStream(derive_seed(args.seed, "fig1-data")).generator()
     X = data_rng.uniform(-args.radius, args.radius, size=(args.n, 1))
     y = data_rng.standard_normal(args.n)
@@ -98,7 +98,7 @@ def run_fig1(args: argparse.Namespace) -> None:
             curve = exact_curve if method == "exact" else predict(model, grid)
             for xv, fv in zip(grid.ravel(), curve):
                 rows.append((draw, method, xv, fv))
-    metadata = [("experiment", "fig1"), ("alpha", args.alpha), ("radius", args.radius),
+    metadata = [("experiment", "fig1"), ("alpha", spec.alpha), ("radius", args.radius),
                 ("n", args.n), ("m", args.m), ("draws", args.reps), ("seed", args.seed),
                 ("base_jitter", 0.0)]
     _write_csv(args.out, metadata, ["draw", "method", "x", "f"], rows)
@@ -111,7 +111,7 @@ def run_fig1(args: argparse.Namespace) -> None:
 
 def run_fig2(args: argparse.Namespace) -> None:
     """Label-averaged interpolation error of both feature maps versus m."""
-    spec = KernelSpec(args.alpha, 1, args.radius)
+    spec = KernelSpec(0, 1, args.radius)
     n = args.n
     test = np.linspace(-args.radius, args.radius, GRID_POINTS)[:, None]
     # The interpolation operator K_test (K + jI)^{-1}, one row per test point, is
@@ -129,7 +129,7 @@ def run_fig2(args: argparse.Namespace) -> None:
                 approx = predict(fit_primal(X, labels, ens, fit_cfg), test)
                 err = float(np.linalg.norm(exact - approx, ord="fro") ** 2)
                 rows.append((m, rep, method, err))
-    metadata = [("experiment", "fig2"), ("alpha", args.alpha), ("radius", args.radius),
+    metadata = [("experiment", "fig2"), ("alpha", spec.alpha), ("radius", args.radius),
                 ("n", n), ("reps", args.reps), ("m_grid", " ".join(str(m) for m in args.m)),
                 ("test_points", GRID_POINTS), ("seed", args.seed),
                 ("jitter", INVERSION_JITTER)]
@@ -222,9 +222,9 @@ def run_feature_sample(args: argparse.Namespace) -> None:
 # Every experiment also reads --out.  An int default for --m means one feature
 # count, a tuple means a strictly increasing grid.
 EXPERIMENTS = {
-    "fig1": (run_fig1, "fig1.csv", {"alpha": None, "radius": None, "n": 10, "m": 200, "reps": 4,
+    "fig1": (run_fig1, "fig1.csv", {"radius": None, "n": 10, "m": 200, "reps": 4,
                                     "seed": None, "gnuplot": None}),
-    "fig2": (run_fig2, "fig2.csv", {"alpha": None, "radius": None, "n": 20,
+    "fig2": (run_fig2, "fig2.csv", {"radius": None, "n": 20,
                                     "m": (32, 64, 128, 256, 512, 1024, 2048), "reps": 20,
                                     "seed": None, "gnuplot": None}),
     "fig3": (run_fig3, "fig3.csv", {"n": 4096, "lambda": None, "seed": None, "gnuplot": None}),
@@ -274,8 +274,10 @@ def main(argv=None) -> int:
         args.m = args.m[0]
     elif args.m is not None and any(b <= a for a, b in zip(args.m, args.m[1:])):
         parser.error(f"--m grid must be strictly increasing, got {' '.join(map(str, args.m))}")
-    if args.reps is not None and args.reps < 1:
-        parser.error(f"--reps must be >= 1, got {args.reps}")
+    for flag in ("n", "m", "reps"):
+        value = getattr(args, flag)
+        if value is not None and np.min(value) < 1:
+            parser.error(f"--{flag} must be >= 1, got {' '.join(map(str, np.ravel(value)))}")
     for flag, default in reads.items():
         if getattr(args, flag) is None:
             setattr(args, flag, default)

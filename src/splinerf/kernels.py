@@ -265,8 +265,7 @@ def gram(points, spec: KernelSpec, kind: str = "nn", jitter: float = 0.0) -> Gra
                       "kernel evaluated formally", stacklevel=2)
     K = kernel_matrix(X, X, spec, kind=kind)
     K = 0.5 * (K + K.T)
-    if jitter:
-        K = K + jitter * np.eye(K.shape[0])
+    K[np.diag_indices_from(K)] += jitter
     return GramMatrix(entries=K, jitter=float(jitter), n_outside_ball=n_outside)
 
 

@@ -131,19 +131,6 @@ class GridLeverageEstimator:
         return np.array([Phi[:, j] @ Z[:, j] for j in range(Phi.shape[1])])
 
 
-def _feature_matrix(features, grid, params) -> np.ndarray:
-    """Fortran-ordered matrix with one column feature(grid, p) per feature and param.
-
-    Columns are filled one call at a time, feature-major, so every column holds
-    exactly the values a single-feature score would see.
-    """
-    Phi = np.empty((grid.size, len(features) * len(params)), order="F")
-    for i, feature in enumerate(features):
-        for j, param in enumerate(params):
-            Phi[:, i * len(params) + j] = feature(grid, param)
-    return Phi
-
-
 @dataclass(frozen=True)
 class LeverageProfile:
     """Analytic and empirical scores over a parameter grid at fixed lambda."""
@@ -163,15 +150,18 @@ def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
     return estimator.lam
 
 
+def _profile(method: str, params, analytic, values, estimator: GridLeverageEstimator) -> LeverageProfile:
+    """Profile of one feature family; values[:, j] is its feature at params[j] on the grid."""
+    return LeverageProfile(method, params, analytic, estimator.scores(values), estimator.lam,
+                           estimator.grid.size)
+
+
 def nn_profile(lam: float, estimator: GridLeverageEstimator, n_params: int = 201) -> LeverageProfile:
     """NN leverage profile over b in [-1, 1]."""
     lam = _estimator_lambda(lam, estimator)
     params = np.linspace(-1.0, 1.0, n_params)
-    analytic = nn_leverage(params, lam)
-    step = lambda x, b: (x > b).astype(float)
-    empirical = estimator.scores(_feature_matrix([step], estimator.grid, params))
-    return LeverageProfile(method="nn", params=params, analytic=analytic,
-                           empirical=empirical, lam=lam, n=estimator.grid.size)
+    return _profile("nn", params, nn_leverage(params, lam), estimator.grid[:, None] > params,
+                    estimator)
 
 
 def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int = 201,
@@ -180,12 +170,6 @@ def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int
     lam = _estimator_lambda(lam, estimator)
     params = np.linspace(0.0, omega_max, n_params)
     cos_scores, sin_scores = fourier_leverage(params, lam)
-    cos = lambda x, o: np.cos(o * x)
-    sin = lambda x, o: np.sin(o * x)
-    emp_cos, emp_sin = np.split(
-        estimator.scores(_feature_matrix([cos, sin], estimator.grid, params)), 2)
-    ngrid = estimator.grid.size
-    return (
-        LeverageProfile("fourier-cos", params, cos_scores, emp_cos, lam, ngrid),
-        LeverageProfile("fourier-sin", params, sin_scores, emp_sin, lam, ngrid),
-    )
+    phase = estimator.grid[:, None] * params
+    return (_profile("fourier-cos", params, cos_scores, np.cos(phase), estimator),
+            _profile("fourier-sin", params, sin_scores, np.sin(phase), estimator))

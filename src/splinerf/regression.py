@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 import scipy.linalg as sla
@@ -180,24 +179,25 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     X = _as_points(X, spec.d)
     n = X.shape[0]
     y = _targets(y, n)
-    n_poly = comb(spec.d + spec.alpha, spec.alpha)
+    Phi = monomial_matrix(X, monomial_exponents(spec.d, spec.alpha))
+    n_poly = Phi.shape[1]
     if n < n_poly:
         raise DegenerateDesignError(
             f"need at least {n_poly} points to pin the degree-{spec.alpha} polynomial block")
-    exps = monomial_exponents(spec.d, spec.alpha)
-    Phi = monomial_matrix(X, exps)
     if np.linalg.matrix_rank(Phi) < n_poly:
         raise DegenerateDesignError("monomial design matrix is rank deficient")
+    # K is exactly symmetric (exact differences) and stays unshifted for the
+    # residual; the saddle matrix is built once, in Fortran order, so LAPACK
+    # factors it in place instead of copying it.
     K = distance_kernel_matrix(X, X, spec)
-    K = 0.5 * (K + K.T)
-    ridge = n * cfg.mu
-    A = np.zeros((n + n_poly, n + n_poly))
-    A[:n, :n] = K + (ridge + cfg.jitter) * np.eye(n)
+    A = np.zeros((n + n_poly, n + n_poly), order="F")
+    A[:n, :n] = K
+    A[np.diag_indices(n)] += n * cfg.mu + cfg.jitter
     A[:n, n:] = Phi
     A[n:, :n] = Phi.T
     rhs = np.concatenate([y, np.zeros((n_poly,) + y.shape[1:])])
     try:
-        sol = sla.solve(A, rhs, assume_a="sym", check_finite=False)
+        sol = sla.solve(A, rhs, assume_a="sym", overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise IllConditionedError(f"saddle system singular: {exc}") from exc
     if not np.all(np.isfinite(sol)):

@@ -190,8 +190,6 @@ def sample_fourier_frequencies(d: int, R: float, m: int, stream: RngStream) -> F
     """Draw m frequencies omega = tau * w, tau from the sin^2 density, w on the sphere."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if m == 0:
-        return FourierFrequencies(taus=np.empty(0), directions=np.empty((0, d)))
     taus = sample_fourier_taus(R, m, stream)
     directions = _unit_rows(stream.next().generator(), m, d)
     return FourierFrequencies(taus=taus, directions=directions)

@@ -191,8 +191,8 @@ def test_fig2_m_grid_must_increase(tmp_path, capsys):
 # The flags each experiment reads, as README's CLI table lists them; every
 # experiment also reads --out.  Any other flag must keep its default.
 READS = {
-    "fig1": {"--alpha", "--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
-    "fig2": {"--alpha", "--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
+    "fig1": {"--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
+    "fig2": {"--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
     "fig3": {"--n", "--lambda", "--seed", "--gnuplot"},
     "kernel-eval": {"--alpha", "--dim", "--radius", "--kernel"},
     "feature-sample": {"--dim", "--radius", "--m", "--kind", "--seed"},
@@ -247,11 +247,8 @@ def test_fixed_flags_rejected(tmp_path, capsys, experiment, flag, value):
     (experiment, flag) for experiment, reads in READS.items() for flag in reads))
 def test_read_flags_accepted(tmp_path, monkeypatch, experiment, flag):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
-    # A flag that is read is no usage error; fig1 and fig2 at --alpha 1 then
-    # stop in the library, since Fourier features exist for alpha = 0 only.
-    rc = main(_argv(experiment, {**SMALL[experiment], flag: OTHER_VALUE[flag]},
-                    tmp_path / "out.csv"))
-    assert rc == (1 if flag == "--alpha" and experiment in ("fig1", "fig2") else 0)
+    assert main(_argv(experiment, {**SMALL[experiment], flag: OTHER_VALUE[flag]},
+                      tmp_path / "out.csv")) == 0
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -259,8 +256,17 @@ def test_read_flags_accepted(tmp_path, monkeypatch, experiment, flag):
     (["--experiment", "feature-sample", "--m", "8", "--m", "16"],
      "feature-sample takes one --m, got 8 16"),
     (["--experiment", "fig1", "--reps", "0"], "--reps must be >= 1, got 0"),
+    (["--experiment", "fig1", "--m", "0"], "--m must be >= 1, got 0"),
+    (["--experiment", "fig2", "--m", "0", "--m", "8"], "--m must be >= 1, got 0 8"),
+    (["--experiment", "feature-sample", "--m", "0"], "--m must be >= 1, got 0"),
+    (["--experiment", "fig1", "--n", "0"], "--n must be >= 1, got 0"),
+    (["--experiment", "fig2", "--n", "0"], "--n must be >= 1, got 0"),
+    (["--experiment", "fig1", "--n", "-1"], "--n must be >= 1, got -1"),
+    (["--experiment", "fig3", "--n", "0"], "--n must be >= 1, got 0"),
     (["--experiment", "fig3", "--n", "64", "--gnuplot", "--out", "-"], "--gnuplot writes"),
-], ids=["fig1-repeated-m", "feature-sample-repeated-m", "reps-0", "gnuplot-to-stdout"])
+], ids=["fig1-repeated-m", "feature-sample-repeated-m", "reps-0", "fig1-m-0", "fig2-m-grid-0",
+        "feature-sample-m-0", "fig1-n-0", "fig2-n-0", "fig1-n--1", "fig3-n-0",
+        "gnuplot-to-stdout"])
 def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # where the default --out would land
     with pytest.raises(SystemExit) as exc:
@@ -276,9 +282,8 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     (["--experiment", "fig3", "--n", "64", "--lambda", "0"],
      "fig3: regularization lambda must be positive"),
     (["--experiment", "fig1", "--radius", "-1"], "fig1: radius must be positive"),
-    (["--experiment", "fig1", "--m", "0"], "fig1: nn feature map requires at least one"),
     (["--experiment", "kernel-eval", "--dim", "0"], "kernel-eval: dimension must be >= 1"),
-], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "fig1-m-0", "kernel-eval-dim-0"])
+], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "kernel-eval-dim-0"])
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
     out = tmp_path / "out.csv"

@@ -446,6 +446,9 @@ def test_distance_kernel_matches_difference_array(alpha, d):
     dist = np.linalg.norm(Xa[:, None, :] - Xb[None, :, :], axis=2)
     expected = c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
     assert np.array_equal(distance_kernel_matrix(Xa, Xb, spec), expected)
+    # the constrained spline solve relies on the square matrix being exactly symmetric
+    K = distance_kernel_matrix(Xa, Xa, spec)
+    assert np.array_equal(K, K.T)
 
 
 def _ball_pairs(rng, n, d, R):

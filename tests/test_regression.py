@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from splinerf.features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
-from splinerf.kernels import KernelSpec, kernel_matrix, monomial_exponents, monomial_matrix
+from splinerf.kernels import (KernelSpec, distance_kernel_matrix, kernel_matrix, monomial_exponents,
+                              monomial_matrix)
 from splinerf.regression import (
     JITTER_LADDER,
     DegenerateDesignError,
@@ -200,8 +203,6 @@ def test_constrained_pol_part_irrelevant_under_constraint():
     X = rng.uniform(-0.7, 0.7, (n, 2))
     y = rng.standard_normal(n)
     base = fit_constrained_spline(X, y, spec)
-    from splinerf.kernels import distance_kernel_matrix
-
     exps = monomial_exponents(2, 1)
     Phi = monomial_matrix(X, exps)
     K = distance_kernel_matrix(X, X, spec) + kernel_matrix(X, X, spec, kind="pol_only")
@@ -215,6 +216,60 @@ def test_constrained_pol_part_irrelevant_under_constraint():
     alt_preds = Kt @ sol[:n] + monomial_matrix(Xt, exps) @ sol[n:]
     scale = max(np.max(np.abs(alt_preds)), 1.0)
     assert np.max(np.abs(predict(base, Xt) - alt_preds)) <= 1e-8 * scale
+
+
+def _inline_saddle_solve(X, y, spec, shift):
+    # the assembly fit_constrained_spline replaced, written out: symmetrized K
+    # plus shift * I in a C-ordered saddle matrix
+    n = X.shape[0]
+    Phi = monomial_matrix(X, monomial_exponents(spec.d, spec.alpha))
+    r = Phi.shape[1]
+    K = distance_kernel_matrix(X, X, spec)
+    K = 0.5 * (K + K.T)
+    A = np.zeros((n + r, n + r))
+    A[:n, :n] = K + shift * np.eye(n)
+    A[:n, n:] = Phi
+    A[n:, :n] = Phi.T
+    sol = sla.solve(A, np.concatenate([y, np.zeros((r,) + y.shape[1:])]), assume_a="sym",
+                    check_finite=False)
+    return sol[:n], sol[n:]
+
+
+SADDLE_CASES = [(d, alpha, 1, mu, 0.0) for d, alpha in [(1, 0), (1, 2), (2, 1), (3, 1), (3, 3)]
+                for mu in (0.0, 1e-3)] + [(2, 1, 1, 1e-3, 1e-6), (3, 1, 3, 0.0, 0.0)]
+
+
+@pytest.mark.parametrize("d, alpha, k, mu, jitter", SADDLE_CASES)
+def test_constrained_matches_inline_saddle_solve(d, alpha, k, mu, jitter):
+    rng = np.random.default_rng(70 + 10 * d + alpha)
+    spec = KernelSpec(alpha, d, 1.0)
+    n = 40
+    X = rng.uniform(-0.7, 0.7, (n, d))
+    y = rng.standard_normal(n) if k == 1 else rng.standard_normal((n, k))
+    model = fit_constrained_spline(X, y, spec,
+                                   FitConfig(mode="constrained_spline", mu=mu, jitter=jitter))
+    lam, nu = _inline_saddle_solve(X, y, spec, n * mu + jitter)
+    assert np.array_equal(model.dual_coeffs, lam)
+    assert np.array_equal(model.poly_coeffs, nu)
+
+
+@pytest.mark.parametrize("d, alpha, n", [(3, 3, 600), (2, 1, 400), (1, 0, 500)])
+def test_constrained_peak_memory_is_about_two_saddle_matrices(d, alpha, n):
+    # the saddle matrix and the unshifted K block are the only n^2 arrays alive
+    rng = np.random.default_rng(80 + d)
+    spec = KernelSpec(alpha, d, 1.0)
+    X = rng.uniform(-0.7, 0.7, (n, d))
+    y = rng.standard_normal(n)
+    fit_constrained_spline(X[:40], y[:40], spec)  # warm every cache outside the window
+    saddle_bytes = 8 * (n + len(monomial_exponents(d, alpha))) ** 2
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        fit_constrained_spline(X, y, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * saddle_bytes
 
 
 def test_constrained_degenerate_design():
