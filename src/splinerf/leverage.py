@@ -4,8 +4,8 @@ A feature g scores <g, (S + lam I)^{-1} g> in L2 of the uniform measure on
 [-1, 1], where S is the integral operator of the step-activation kernel,
 S f(x) = 1/4 int f - 1/8 int |x - y| f(y) dy.  Closed forms come from solving
 g'' = lam f'' - f/4 with the boundary relations tying f to g.  The grid
-estimator scores features against the factored Gram matrix of the same
-kernel; the tests check both against a dense discretization of S.
+estimator scores features against the Gram matrix of the same kernel in O(n);
+the tests check both against a dense discretization of S.
 
 General radii are handled by callers rescaling inputs to [-1, 1].
 """
@@ -15,9 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .kernels import KernelSpec, kernel_matrix
-from .regression import factor_spd
+import scipy.linalg as sla
 
 __all__ = [
     "nn_leverage",
@@ -101,10 +99,14 @@ def fourier_leverage(omega, lam: float):
 
 
 class GridLeverageEstimator:
-    """Grid estimator phi^T (K + n lam I)^{-1} phi, with K factorized once.
+    """Grid estimator phi^T (K + s I)^{-1} phi, s = n lam, in O(n) per feature.
 
-    ``scores(Phi)`` scores every column of an (n, k) matrix of feature values
-    with one multi-right-hand-side solve on the stored factor.
+    With u = x + 1 on the sorted grid, K + sI = A + U S U^T for A = (M + 2sI)/2,
+    M_ij = min(u_i, u_j), U = [1, x], S = -[[0, 1], [1, 0]]/4, and
+    A^{-1} = 2 D^T (diag(Du) + 2s D D^T)^{-1} D with D the first difference: a
+    tridiagonal factor, a 2x2 Woodbury step, then one refinement step through the
+    O(n) product (K + sI) z.  Every reduction runs along one feature's contiguous
+    values, so a score depends neither on the batch nor on the BLAS thread count.
     """
 
     def __init__(self, grid, lam: float):
@@ -113,22 +115,50 @@ class GridLeverageEstimator:
         n = self.grid.size
         if n < 2:
             raise ValueError("grid estimator needs at least two points")
+        if not np.all(np.abs(self.grid) <= 1.0):  # outside, 1/2 - |x - y|/4 is not PSD
+            raise ValueError("grid points must be finite and lie in [-1, 1]")
         self.lam = lam
-        K = kernel_matrix(self.grid[:, None], self.grid[:, None], KernelSpec(0, 1, 1.0))
-        self._factor = factor_spd(K, n * lam)
+        self._order = np.argsort(self.grid, kind="stable")
+        self._x = self.grid[self._order]
+        s = self._s = n * lam
+        band = np.stack([np.full(n, -2.0 * s), np.diff(self._x, prepend=-1.0) + 4.0 * s])
+        band[1, 0] -= 2.0 * s  # D D^T is tridiagonal with diagonal (1, 2, ..., 2)
+        self._band = sla.cholesky_banded(band, check_finite=False)
+        W = self._solve_a(np.stack([np.ones(n), self._x]))
+        # Woodbury: (K+sI)^{-1} b = y - P^T U^T y with y = A^{-1} b, P = (S^{-1} + U^T W^T)^{-T} W
+        G = np.stack([np.sum(W, axis=1), np.sum(self._x * W, axis=1)]) - [[0.0, 4.0], [4.0, 0.0]]
+        self._P = np.linalg.solve(G.T, W)
+
+    def _solve_a(self, B):
+        """A^{-1} applied to each row of B."""
+        V = sla.cho_solve_banded((self._band, False), np.diff(B, axis=1, prepend=0.0).T,
+                                 check_finite=False).T
+        return -2.0 * np.diff(V, axis=1, append=0.0)
+
+    def _solve(self, B):
+        """(K + sI)^{-1} applied to each row of B."""
+        Y = self._solve_a(B)
+        t0, t1 = np.sum(Y, axis=1)[:, None], np.sum(self._x * Y, axis=1)[:, None]
+        return Y - t0 * self._P[0] - t1 * self._P[1]
+
+    def _apply(self, Z):
+        """(K + sI) z for each row z of Z, by (Mz)_i = sum_{j<=i} u_j z_j + u_i sum_{j>i} z_j."""
+        u = self._x + 1.0
+        MZ = np.cumsum(u * Z, axis=1)
+        MZ[:, :-1] += u[:-1] * np.cumsum(Z[:, :0:-1], axis=1)[:, ::-1]
+        t0, t1 = np.sum(Z, axis=1)[:, None], np.sum(self._x * Z, axis=1)[:, None]
+        return 0.5 * MZ + self._s * Z - 0.25 * (t0 * self._x + t1)
 
     def scores(self, Phi) -> np.ndarray:
-        """Scores of the columns of Phi, shape (n, k), as a length-k array.
-
-        Phi is solved in Fortran order so each column is contiguous, which
-        keeps every score bit-identical to a one-column solve.
-        """
-        Phi = np.asfortranarray(Phi, dtype=float)
+        """Scores of the columns of Phi, shape (n, k), as a length-k array."""
+        Phi = np.asarray(Phi, dtype=float)
         if Phi.ndim != 2 or Phi.shape[0] != self.grid.size:
             raise ValueError(f"feature values must have shape ({self.grid.size}, k), "
                              f"got {Phi.shape}")
-        Z = self._factor.solve(Phi)
-        return np.array([Phi[:, j] @ Z[:, j] for j in range(Phi.shape[1])])
+        B = np.ascontiguousarray(Phi[self._order].T)  # one row per feature, in sorted grid order
+        Z = self._solve(B)
+        Z += self._solve(B - self._apply(Z))
+        return np.sum(B * Z, axis=1)
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's closed-form code paths:
 adaptive Gauss-Legendre quadrature, chunked Monte Carlo over explicit feature
 draws, closed-form moments of a uniform sphere direction (themselves checked
 against Monte Carlo), a cumulative-quadrature CDF for the frequency density,
-the polynomial kernel part through bivariate Gaussian moments, and a dense
-discretization of the leverage integral operator.
+the polynomial kernel part through bivariate Gaussian moments, a dense
+discretization of the leverage integral operator, and the dense Gram
+factorization the structured grid estimator replaced.
 """
 
 from dataclasses import dataclass
@@ -14,6 +15,9 @@ from math import comb
 import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln
+
+from splinerf.kernels import KernelSpec, kernel_matrix
+from splinerf.regression import factor_spd
 
 _GL_LOW = np.polynomial.legendre.leggauss(10)
 _GL_HIGH = np.polynomial.legendre.leggauss(20)
@@ -297,13 +301,8 @@ def _trapezoid_weights(n):
     return w
 
 
-def solve_regularized_operator(g, lam, n=4096):
-    """Solve (S + lam I) f = g on [-1, 1] by trapezoid discretization of S.
-
-    S f(x) = 1/4 int f - 1/8 int |x - y| f(y) dy is the integral operator of
-    the alpha = 0, d = 1 kernel, materialized as the dense matrix K_ij w_j / 2
-    and solved directly, independent of the closed forms and the grid estimator.
-    """
+def _regularized_operator(lam, n):
+    """Grid, trapezoid weights and the dense matrix of S + lam I on [-1, 1]."""
     lam = float(lam)
     if not lam > 0:
         raise ValueError(f"regularization lambda must be positive, got {lam}")
@@ -312,7 +311,17 @@ def solve_regularized_operator(g, lam, n=4096):
     x = np.linspace(-1.0, 1.0, n)
     w = _trapezoid_weights(n)
     K = 0.5 - 0.25 * np.abs(x[:, None] - x[None, :])
-    M = K * (w[None, :] / 2.0) + lam * np.eye(n)
+    return x, w, K * (w[None, :] / 2.0) + lam * np.eye(n)
+
+
+def solve_regularized_operator(g, lam, n=4096):
+    """Solve (S + lam I) f = g on [-1, 1] by trapezoid discretization of S.
+
+    S f(x) = 1/4 int f - 1/8 int |x - y| f(y) dy is the integral operator of
+    the alpha = 0, d = 1 kernel, materialized as the dense matrix K_ij w_j / 2
+    and solved directly, independent of the closed forms and the grid estimator.
+    """
+    x, _, M = _regularized_operator(lam, n)
     gv = np.asarray(g(x), dtype=float)
     f = sla.solve(M, gv, check_finite=False)
     return GridFunction(x=x, values=f)
@@ -320,7 +329,25 @@ def solve_regularized_operator(g, lam, n=4096):
 
 def oracle_leverage(g, lam, n=4096):
     """Leverage score <g, (S + lam I)^{-1} g> / |measure| via the operator solve."""
-    sol = solve_regularized_operator(g, lam, n)
-    w = _trapezoid_weights(n)
-    gv = np.asarray(g(sol.x), dtype=float)
-    return float(0.5 * np.sum(w * gv * sol.values))
+    return float(oracle_leverages([g], lam, n)[0])
+
+
+def oracle_leverages(gs, lam, n=4096):
+    """oracle_leverage of each callable in gs, from one multi-right-hand-side solve."""
+    x, w, M = _regularized_operator(lam, n)
+    G = np.column_stack([np.asarray(g(x), dtype=float) for g in gs])
+    F = sla.solve(M, G, check_finite=False)
+    return 0.5 * np.sum(w[:, None] * G * F, axis=0)
+
+
+def dense_grid_leverage(grid, lam, Phi):
+    """phi^T (K + n lam I)^{-1} phi for each column of Phi, from the dense Gram.
+
+    The dense path the structured grid estimator is checked against: the
+    alpha = 0, d = 1 Gram from kernel_matrix, factored by factor_spd, each
+    column solved on its own.
+    """
+    grid = np.asarray(grid, dtype=float)
+    K = kernel_matrix(grid[:, None], grid[:, None], KernelSpec(0, 1, 1.0))
+    factor = factor_spd(K, grid.size * lam)
+    return np.array([phi @ factor.solve(phi) for phi in np.asarray(Phi, dtype=float).T])

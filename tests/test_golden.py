@@ -2,11 +2,11 @@
 
 The references were written by the CLI with the flags in CASES. Metadata
 lines, headers and label columns must match exactly. Numeric columns must
-match to rtol 1e-12: BLAS rounding differs with the thread count (about 1e-15
-relative between 1 and 2 OpenBLAS threads on fig2 and fig3), while any change
-to the numerics shows far above that. feature-sample calls no BLAS and must
-match byte for byte. fig2 is checked at the default thread count and, in a
-fresh interpreter, at one OpenBLAS thread against the same reference.
+match to rtol 1e-12: any change to the numerics shows far above that, while
+another numpy or BLAS build may round the last bits differently.
+feature-sample calls no BLAS and must match byte for byte. Every experiment
+writes the same bytes at one and at two OpenBLAS threads, each run in a fresh
+interpreter, and fig2 at one thread is checked against the same reference.
 """
 
 import os
@@ -69,14 +69,36 @@ def test_fig2_matches_reference(fig2_run):
     _assert_matches_reference(path, "fig2.csv")
 
 
+def _run_at_blas_threads(args, threads):
+    """Run the CLI in a fresh interpreter with the given OpenBLAS thread count."""
+    src = str(pathlib.Path(__file__).parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-m", "splinerf"] + args, env=env, check=True)
+
+
 def test_fig2_matches_reference_at_one_blas_thread(tmp_path):
     out = tmp_path / "fig2.csv"
-    src = str(pathlib.Path(__file__).parents[1] / "src")
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "splinerf", "--experiment", "fig2", "--seed", "0",
-                    "--out", str(out)], env=env, check=True)
+    _run_at_blas_threads(["--experiment", "fig2", "--seed", "0", "--out", str(out)], 1)
     _assert_matches_reference(out, "fig2.csv")
+
+
+THREAD_CASES = {
+    "fig1": CASES["fig1_reps1.csv"],
+    "fig2": ["--experiment", "fig2", "--seed", "0"],
+    "fig3": CASES["fig3.csv"],
+    "feature-sample": ["--experiment", "feature-sample", "--kind", "fourier", "--m", "3", "--seed", "7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREAD_CASES))
+def test_same_bytes_at_one_and_two_blas_threads(tmp_path, name):
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"{name}-{threads}.csv"
+        _run_at_blas_threads(THREAD_CASES[name] + ["--out", str(out)], threads)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_feature_sample_is_byte_identical(tmp_path):

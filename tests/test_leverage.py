@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-import scipy.linalg as sla
 
-from oracles import oracle_leverage, solve_regularized_operator
+from oracles import dense_grid_leverage, oracle_leverage, oracle_leverages, solve_regularized_operator
 from splinerf.leverage import (
     GridLeverageEstimator,
     fourier_leverage,
@@ -100,19 +99,20 @@ def test_operator_solve_validation():
 
 def test_oracle_matches_fourier_closed_form():
     lam = 1e-3
-    for om in (1.0, 5.0, 12.0):
-        got = oracle_leverage(lambda x: np.cos(om * x), lam, n=4096)
-        want = fourier_leverage(om, lam)[0]
-        assert abs(got - want) <= 0.01 * want
-        got_s = oracle_leverage(lambda x: np.sin(om * x), lam, n=4096)
-        want_s = fourier_leverage(om, lam)[1]
+    omegas = (1.0, 5.0, 12.0)
+    got = oracle_leverages([lambda x, om=om: np.cos(om * x) for om in omegas]
+                           + [lambda x, om=om: np.sin(om * x) for om in omegas], lam, n=4096)
+    for om, got_c, got_s in zip(omegas, got[:3], got[3:]):
+        want, want_s = fourier_leverage(om, lam)
+        assert abs(got_c - want) <= 0.01 * want
         assert abs(got_s - want_s) <= 0.01 * want_s
 
 
 def test_oracle_matches_nn_closed_form():
     lam = 1e-3
-    for b in (-0.6, 0.0, 0.5, 0.9):
-        got = oracle_leverage(lambda x, b=b: (x > b).astype(float), lam, n=4096)
+    biases = (-0.6, 0.0, 0.5, 0.9)
+    scores = oracle_leverages([lambda x, b=b: (x > b).astype(float) for b in biases], lam, n=4096)
+    for b, got in zip(biases, scores):
         want = nn_leverage(b, lam)
         assert abs(got - want) <= 0.01 * want
 
@@ -131,9 +131,9 @@ def test_triple_agreement():
     b_grid = np.linspace(-0.9, 0.9, 10)
     nn_closed = nn_leverage(b_grid, lam)
     scale = nn_closed.max()
-    for b, closed in zip(b_grid, nn_closed):
+    nn_oracle = oracle_leverages([lambda x, b=b: (x > b).astype(float) for b in b_grid], lam, n=2049)
+    for b, closed, orc in zip(b_grid, nn_closed, nn_oracle):
         emp = _score(estimator, (grid > b).astype(float))
-        orc = oracle_leverage(lambda x, b=b: (x > b).astype(float), lam, n=2049)
         assert abs(emp - closed) <= 0.05 * scale
         assert abs(orc - closed) <= 0.05 * scale
     om_grid = np.linspace(0.0, 30.0, 10)
@@ -165,10 +165,50 @@ def test_batched_scores_match_single_column_solves():
                + [np.cos(o * grid) for o in omegas]
                + [np.sin(o * grid) for o in omegas])
     batched = est.scores(np.column_stack(columns))
-    looped = np.array([phi @ sla.cho_solve(est._factor.factor, phi, check_finite=False)
-                       for phi in columns])
+    looped = np.array([_score(est, phi) for phi in columns])
     assert np.array_equal(batched, looped)
-    assert _score(est, columns[5]) == looped[5]
+    assert np.array_equal(est.scores(np.column_stack(columns[::-1])), looped[::-1])
+
+
+def _features(grid, k=7):
+    """Step, cos and sin features at k parameters each, plus the zero feature."""
+    b = np.linspace(-1.0, 1.0, k)
+    phase = grid[:, None] * np.linspace(0.0, 50.0, k)
+    return np.hstack([grid[:, None] > b, np.cos(phase), np.sin(phase), np.zeros((grid.size, 1))])
+
+
+@pytest.mark.parametrize("n", [2, 3, 64, 512, 4096])
+def test_grid_estimator_matches_dense_oracle(n):
+    rng = np.random.default_rng(n)
+    shuffled = rng.permutation(np.linspace(-1, 1, n))
+    shuffled[-1] = shuffled[0]
+    grids = {"sorted": np.linspace(-1, 1, n), "unsorted, one point repeated": shuffled}
+    for name, grid in grids.items():
+        for lam in (1e-1, 1e-3, 1e-5) if n < 4096 else (1e-3,):
+            Phi = _features(grid)
+            got = GridLeverageEstimator(grid, lam).scores(Phi)
+            want = dense_grid_leverage(grid, lam, Phi)
+            assert got[-1] == 0.0
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"{name}, lam={lam}")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-12, -1.5])
+def test_grid_estimator_rejects_points_outside_the_ball(bad):
+    # outside [-1, 1] the kernel 1/2 - |x - y|/4 is not PSD: raise, no quiet number
+    grid = np.linspace(-1, 1, 16)
+    grid[5] = bad
+    with pytest.raises(ValueError, match=r"\[-1, 1\]"):
+        GridLeverageEstimator(grid, 1e-3)
+
+
+@pytest.mark.parametrize("lam", [1e-5, 1e-6])
+def test_grid_estimator_matches_closed_forms_at_small_lambda(lam):
+    # the boundary layer has width ~ sqrt(lam): a 2^16 grid resolves it, a dense Gram would be 32 GiB
+    grid = np.linspace(-1, 1, 2 ** 16)
+    est = GridLeverageEstimator(grid, lam)
+    got = est.scores(np.column_stack([grid > 0.0, grid > -0.9, np.cos(20.0 * grid)]))
+    want = [nn_leverage(0.0, lam), nn_leverage(-0.9, lam), fourier_leverage(20.0, lam)[0]]
+    np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
 
 
 def test_batched_scores_reject_bad_shapes():
