@@ -49,11 +49,12 @@ class NNFeatureMap:
 
     def features(self, X) -> np.ndarray:
         """Entries (w_j . x_i + b_j)_+^alpha; for alpha = 0 a strict step (0 at 0)."""
-        X = _as_points(X, self.spec.d)
-        pre = X @ self.params.directions.T + self.params.biases[None, :]
+        pre = _as_points(X, self.spec.d, finite=True) @ self.params.directions.T
+        pre += self.params.biases
         if self.spec.alpha == 0:
-            return (pre > 0).astype(float)
-        return np.maximum(pre, 0.0) ** self.spec.alpha
+            return np.greater(pre, 0.0, out=pre)
+        np.maximum(pre, 0.0, out=pre)
+        return np.power(pre, self.spec.alpha, out=pre)
 
 
 @dataclass(frozen=True)
@@ -82,10 +83,13 @@ class FourierFeatureMap:
         return 1.0 / (2.0 * self.m)
 
     def features(self, X) -> np.ndarray:
-        """Columns cos(omega_j . x) and sin(omega_j . x) per frequency."""
-        X = _as_points(X, self.spec.d)
-        phase = X @ self.frequencies.omegas.T
-        return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+        """Columns cos(omega_j . x), then sin(omega_j . x), one per frequency."""
+        X = _as_points(X, self.spec.d, finite=True)
+        out = np.empty((len(X), 2 * self.m))
+        phase = np.matmul(X, self.frequencies.omegas.T, out=out[:, self.m:])
+        np.cos(phase, out=out[:, :self.m])
+        np.sin(phase, out=phase)
+        return out
 
 
 def sample_nn_ensemble(spec: KernelSpec, m: int, stream: RngStream) -> NNFeatureMap:

@@ -153,11 +153,13 @@ def _pol_part(Xa, Xb, spec: KernelSpec) -> np.ndarray:
     return monomial_matrix(Xa, E) @ C @ monomial_matrix(Xb, E).T
 
 
-def _as_points(X, d: int) -> np.ndarray:
+def _as_points(X, d: int, finite: bool = False) -> np.ndarray:
     """Points as an (n, d) float array; empty input must still have d columns."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"points have shape {X.shape}, expected (n, {d})")
+    if finite and not np.isfinite(X).all():
+        raise ValueError("points must be finite")
     return X
 
 

@@ -5,8 +5,9 @@ adaptive Gauss-Legendre quadrature, chunked Monte Carlo over explicit feature
 draws, closed-form moments of a uniform sphere direction (themselves checked
 against Monte Carlo), a cumulative-quadrature CDF for the frequency density,
 the polynomial kernel part through bivariate Gaussian moments, a dense
-discretization of the leverage integral operator, and the dense Gram
-factorization the structured grid estimator replaced.
+discretization of the leverage integral operator, the dense Gram
+factorization the structured grid estimator replaced, and the whole-array
+feature expressions the in-place feature maps must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -351,3 +352,17 @@ def dense_grid_leverage(grid, lam, Phi):
     K = kernel_matrix(grid[:, None], grid[:, None], KernelSpec(0, 1, 1.0))
     factor = factor_spd(K, grid.size * lam)
     return np.array([phi @ factor.solve(phi) for phi in np.asarray(Phi, dtype=float).T])
+
+
+def nn_features_reference(X, directions, biases, alpha):
+    """Power-ReLU features as whole-array expressions, one temporary per step."""
+    pre = X @ directions.T + biases[None, :]
+    if alpha == 0:
+        return (pre > 0).astype(float)
+    return np.maximum(pre, 0) ** alpha
+
+
+def fourier_features_reference(X, omegas):
+    """cos and sin of the phases, computed apart and concatenated."""
+    phase = X @ omegas.T
+    return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)

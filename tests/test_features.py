@@ -3,6 +3,7 @@ import types
 import numpy as np
 import pytest
 
+from oracles import fourier_features_reference, nn_features_reference
 from splinerf.features import (
     FourierFeatureMap,
     NNFeatureMap,
@@ -11,7 +12,8 @@ from splinerf.features import (
     sample_nn_ensemble,
 )
 from splinerf.kernels import KernelSpec, UnsupportedOrderError, kd
-from splinerf.sampling import FourierFrequencies, NNParams, RngStream
+from splinerf.regression import FitConfig, fit_primal, predict
+from splinerf.sampling import FourierFrequencies, NNParams, RngStream, sample_nn_params
 
 
 def _manual_nn_ensemble(w, b, spec):
@@ -160,6 +162,48 @@ def test_feature_matrix_dimension_mismatch():
                 sample_fourier_ensemble(spec, 4, RngStream(31))):
         with pytest.raises(ValueError):
             ens.features(np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2])
+@pytest.mark.parametrize("d", [1, 3])
+def test_nn_features_match_reference_bit_for_bit(d, alpha):
+    spec = KernelSpec(alpha, d, 1.0)
+    params = sample_nn_params(d, 1.0, 300, RngStream(35, d))
+    W, b = params.directions.copy(), params.biases.copy()
+    X = np.random.default_rng(36).uniform(-0.7, 0.7, (40, d))
+    # the first point lies on the first feature's hyperplane: w . x + b is exactly 0
+    W[0], b[0], X[0, 0] = np.eye(d)[0], -0.25, 0.25
+    ref = nn_features_reference(X, W, b, alpha)
+    assert (X[:1] @ W[:1].T + b[0])[0, 0] == 0.0 and ref[0, 0] == 0.0
+    assert np.array_equal(NNFeatureMap(spec, NNParams(directions=W, biases=b)).features(X), ref)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+def test_fourier_features_match_reference_bit_for_bit(d):
+    ens = sample_fourier_ensemble(KernelSpec(0, d, 1.0), 300, RngStream(37, d))
+    X = np.random.default_rng(38).uniform(-0.7, 0.7, (40, d))
+    assert np.array_equal(ens.features(X), fourier_features_reference(X, ens.frequencies.omegas))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_features_of_non_finite_points_rejected(bad):
+    spec = KernelSpec(0, 2, 1.0)
+    X = np.zeros((3, 2))
+    X[1, 1] = bad
+    for ens in (sample_nn_ensemble(spec, 4, RngStream(39)),
+                sample_fourier_ensemble(spec, 4, RngStream(39))):
+        with pytest.raises(ValueError, match="finite"):
+            ens.features(X)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_primal_predict_at_non_finite_point_rejected(bad):
+    spec = KernelSpec(0, 1, 1.0)
+    X = np.linspace(-0.5, 0.5, 6)[:, None]
+    model = fit_primal(X, X[:, 0] ** 2, sample_nn_ensemble(spec, 50, RngStream(40)),
+                       FitConfig(mode="ridge", mu=1e-6))
+    with pytest.raises(ValueError, match="finite"):
+        predict(model, np.array([[0.1], [bad]]))
 
 
 def test_ensemble_validation():

@@ -6,7 +6,7 @@ match to rtol 1e-12: any change to the numerics shows far above that, while
 another numpy or BLAS build may round the last bits differently.
 feature-sample calls no BLAS and must match byte for byte. Every experiment
 writes the same bytes at one and at two OpenBLAS threads, each run in a fresh
-interpreter, and fig2 at one thread is checked against the same reference.
+interpreter, and its one-thread output is checked against the same reference.
 """
 
 import os
@@ -77,28 +77,40 @@ def _run_at_blas_threads(args, threads):
     subprocess.run([sys.executable, "-m", "splinerf"] + args, env=env, check=True)
 
 
-def test_fig2_matches_reference_at_one_blas_thread(tmp_path):
-    out = tmp_path / "fig2.csv"
-    _run_at_blas_threads(["--experiment", "fig2", "--seed", "0", "--out", str(out)], 1)
-    _assert_matches_reference(out, "fig2.csv")
-
-
+# experiment name -> (reference file, CLI flags)
 THREAD_CASES = {
-    "fig1": CASES["fig1_reps1.csv"],
-    "fig2": ["--experiment", "fig2", "--seed", "0"],
-    "fig3": CASES["fig3.csv"],
-    "feature-sample": ["--experiment", "feature-sample", "--kind", "fourier", "--m", "3", "--seed", "7"],
+    "fig1": ("fig1_reps1.csv", CASES["fig1_reps1.csv"]),
+    "fig2": ("fig2.csv", ["--experiment", "fig2", "--seed", "0"]),
+    "fig3": ("fig3.csv", CASES["fig3.csv"]),
+    "feature-sample": ("feature_sample_fourier.csv",
+                       ["--experiment", "feature-sample", "--kind", "fourier", "--m", "3", "--seed", "7"]),
 }
 
 
+@pytest.fixture(scope="module")
+def blas_thread_run(tmp_path_factory):
+    """Run a THREAD_CASES experiment at a BLAS thread count once per module: its csv path."""
+    paths = {}
+
+    def run(name, threads):
+        if (name, threads) not in paths:
+            out = tmp_path_factory.mktemp("threads") / f"{name}-{threads}.csv"
+            _run_at_blas_threads(THREAD_CASES[name][1] + ["--out", str(out)], threads)
+            paths[name, threads] = out
+        return paths[name, threads]
+
+    return run
+
+
+def test_fig2_matches_reference_at_one_blas_thread(blas_thread_run):
+    _assert_matches_reference(blas_thread_run("fig2", 1), "fig2.csv")
+
+
 @pytest.mark.parametrize("name", sorted(THREAD_CASES))
-def test_same_bytes_at_one_and_two_blas_threads(tmp_path, name):
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"{name}-{threads}.csv"
-        _run_at_blas_threads(THREAD_CASES[name] + ["--out", str(out)], threads)
-        outputs.append(out.read_bytes())
-    assert outputs[0] == outputs[1]
+def test_same_bytes_at_one_and_two_blas_threads(blas_thread_run, name):
+    one, two = blas_thread_run(name, 1), blas_thread_run(name, 2)
+    _assert_matches_reference(one, THREAD_CASES[name][0])
+    assert one.read_bytes() == two.read_bytes()
 
 
 def test_feature_sample_is_byte_identical(tmp_path):

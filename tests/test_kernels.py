@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import k1_pol, mc_arccos_kernel, mc_nn_kernel, nn_kernel_quadrature, pol_kernel_gaussian
+from splinerf.features import sample_fourier_ensemble, sample_nn_ensemble
 from splinerf.kernels import (
     DISTANCE_BLOCK_ENTRIES,
     Derivative1DProfile,
@@ -27,6 +28,7 @@ from splinerf.kernels import (
     rkhs_norm_1d,
     spline_fourier_constant,
 )
+from splinerf.sampling import RngStream
 
 
 def test_c_alpha_d1_values():
@@ -434,6 +436,21 @@ def test_kernel_matrix_peak_memory_below_four_outputs():
         finally:
             tracemalloc.stop()
         assert peak < bound * K.nbytes, spec
+
+
+@pytest.mark.parametrize("sampler, alpha", [(sample_fourier_ensemble, 0), (sample_nn_ensemble, 0),
+                                            (sample_nn_ensemble, 2)])
+def test_features_peak_memory_is_about_one_output(sampler, alpha):
+    ens = sampler(KernelSpec(alpha, 3), 2048, RngStream(112))
+    X = np.random.default_rng(113).uniform(-0.5, 0.5, (512, 3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        F = ens.features(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * F.nbytes
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 3])
