@@ -184,17 +184,29 @@ def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
     raise UnsupportedOrderError(f"arc-cosine kernel implemented for alpha <= 2, got {spec.alpha}")
 
 
-def _distance_term(A, B, spec: KernelSpec) -> np.ndarray:
-    """c(alpha, d) |a - b|^(2 alpha + 1) / R over the broadcast of A and B, shape (..., d)."""
-    dist = np.sqrt(sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d)))
-    return c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
+    """c(alpha, d) |a - b|^(2 alpha + 1) / R over the broadcast of A and B, shape (..., d),
+    computed in out, with tmp for the later squares (buffers of the broadcast shape, or None)."""
+    out = np.subtract(A[..., 0], B[..., 0], out=out)
+    np.square(out, out=out)
+    for j in range(1, spec.d):
+        tmp = np.subtract(A[..., j], B[..., j], out=tmp)
+        out += np.square(tmp, out=tmp)
+    np.sqrt(out, out=out)
+    np.power(out, 2 * spec.alpha + 1, out=out)
+    out *= c_alpha(spec)
+    out /= spec.R
+    return out
 
 
 def _add_distance_term(out, Xa, Xb, spec: KernelSpec) -> np.ndarray:
     """out[i, j] += the distance term of Xa[i] and Xb[j], a block of rows at a time."""
     step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, len(Xb)))
+    block, tmp = np.empty((2, min(step, len(Xa)), len(Xb)))
     for i in range(0, len(Xa), step):
-        out[i:i + step] += _distance_term(Xa[i:i + step, None, :], Xb[None, :, :], spec)
+        rows = min(step, len(Xa) - i)
+        out[i:i + rows] += _distance_term(Xa[i:i + rows, None, :], Xb[None, :, :], spec,
+                                          block[:rows], tmp[:rows])
     return out
 
 

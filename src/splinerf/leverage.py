@@ -26,6 +26,8 @@ __all__ = [
     "fourier_profiles",
 ]
 
+SCORE_CHUNK_ENTRIES = 2 ** 15  # feature values per scoring chunk: every temporary stays in cache
+
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
@@ -105,8 +107,12 @@ class GridLeverageEstimator:
     M_ij = min(u_i, u_j), U = [1, x], S = -[[0, 1], [1, 0]]/4, and
     A^{-1} = 2 D^T (diag(Du) + 2s D D^T)^{-1} D with D the first difference: a
     tridiagonal factor, a 2x2 Woodbury step, then one refinement step through the
-    O(n) product (K + sI) z.  Every reduction runs along one feature's contiguous
-    values, so a score depends neither on the batch nor on the BLAS thread count.
+    O(n) product (K + sI) z.  Features are scored in chunks of c = max(1,
+    SCORE_CHUNK_ENTRIES // n) at a time, each chunk's rows built in sorted grid
+    order just before its solve, so memory beyond the estimator's own n-vectors
+    is O(c n) however many features are scored.  Every reduction runs along one
+    feature's contiguous values, so a score depends neither on the chunk nor on
+    the BLAS thread count.
     """
 
     def __init__(self, grid, lam: float):
@@ -132,7 +138,7 @@ class GridLeverageEstimator:
     def _solve_a(self, B):
         """A^{-1} applied to each row of B."""
         V = sla.cho_solve_banded((self._band, False), np.diff(B, axis=1, prepend=0.0).T,
-                                 check_finite=False).T
+                                 overwrite_b=True, check_finite=False).T
         return -2.0 * np.diff(V, axis=1, append=0.0)
 
     def _solve(self, B):
@@ -149,16 +155,26 @@ class GridLeverageEstimator:
         t0, t1 = np.sum(Z, axis=1)[:, None], np.sum(self._x * Z, axis=1)[:, None]
         return 0.5 * MZ + self._s * Z - 0.25 * (t0 * self._x + t1)
 
+    def _scores(self, feature, params) -> np.ndarray:
+        """Scores of the features feature(x, p), p in params: (c, n) values from the
+        sorted grid x as a (1, n) row and a chunk of c parameters as a (c, 1) column."""
+        out = np.empty(len(params))
+        step = max(1, SCORE_CHUNK_ENTRIES // self._x.size)
+        for i in range(0, len(params), step):
+            B = np.ascontiguousarray(feature(self._x[None, :], params[i:i + step, None]), dtype=float)
+            Z = self._solve(B)
+            Z += self._solve(B - self._apply(Z))
+            out[i:i + step] = np.sum(B * Z, axis=1)
+        return out
+
     def scores(self, Phi) -> np.ndarray:
         """Scores of the columns of Phi, shape (n, k), as a length-k array."""
-        Phi = np.asarray(Phi, dtype=float)
+        Phi = np.asarray(Phi)
         if Phi.ndim != 2 or Phi.shape[0] != self.grid.size:
             raise ValueError(f"feature values must have shape ({self.grid.size}, k), "
                              f"got {Phi.shape}")
-        B = np.ascontiguousarray(Phi[self._order].T)  # one row per feature, in sorted grid order
-        Z = self._solve(B)
-        Z += self._solve(B - self._apply(Z))
-        return np.sum(B * Z, axis=1)
+        # each chunk gathers its columns of Phi as rows in sorted grid order
+        return self._scores(lambda x, cols: Phi.T[cols, self._order], np.arange(Phi.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -180,18 +196,17 @@ def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
     return estimator.lam
 
 
-def _profile(method: str, params, analytic, values, estimator: GridLeverageEstimator) -> LeverageProfile:
-    """Profile of one feature family; values[:, j] is its feature at params[j] on the grid."""
-    return LeverageProfile(method, params, analytic, estimator.scores(values), estimator.lam,
-                           estimator.grid.size)
+def _profile(method: str, feature, params, analytic, estimator: GridLeverageEstimator) -> LeverageProfile:
+    """Profile of one feature family, whose feature at p has the values feature(x, p) on the grid."""
+    return LeverageProfile(method, params, analytic, estimator._scores(feature, params),
+                           estimator.lam, estimator.grid.size)
 
 
 def nn_profile(lam: float, estimator: GridLeverageEstimator, n_params: int = 201) -> LeverageProfile:
     """NN leverage profile over b in [-1, 1]."""
     lam = _estimator_lambda(lam, estimator)
     params = np.linspace(-1.0, 1.0, n_params)
-    return _profile("nn", params, nn_leverage(params, lam), estimator.grid[:, None] > params,
-                    estimator)
+    return _profile("nn", np.greater, params, nn_leverage(params, lam), estimator)
 
 
 def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int = 201,
@@ -200,6 +215,5 @@ def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int
     lam = _estimator_lambda(lam, estimator)
     params = np.linspace(0.0, omega_max, n_params)
     cos_scores, sin_scores = fourier_leverage(params, lam)
-    phase = estimator.grid[:, None] * params
-    return (_profile("fourier-cos", params, cos_scores, np.cos(phase), estimator),
-            _profile("fourier-sin", params, sin_scores, np.sin(phase), estimator))
+    return (_profile("fourier-cos", lambda x, w: np.cos(x * w), params, cos_scores, estimator),
+            _profile("fourier-sin", lambda x, w: np.sin(x * w), params, sin_scores, estimator))

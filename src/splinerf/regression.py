@@ -209,13 +209,14 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
 
 
 def predict(model: RegressionModel, Xtest) -> np.ndarray:
-    """Evaluate a fitted model at test points (validated by the kernel or feature map)."""
+    """Evaluate a fitted model at test points, which must be finite."""
+    if model.kind == "primal":
+        return model.ensemble.features(Xtest) @ model.feature_weights  # the map validates Xtest
+    if model.kind not in ("dual", "constrained_spline"):
+        raise ValueError(f"unknown model kind {model.kind!r}")
+    Xtest = _as_points(Xtest, model.spec.d, finite=True)
     if model.kind == "dual":
         return kernel_matrix(Xtest, model.X, model.spec) @ model.dual_coeffs
-    if model.kind == "primal":
-        return model.ensemble.features(Xtest) @ model.feature_weights
-    if model.kind == "constrained_spline":
-        E = distance_kernel_matrix(Xtest, model.X, model.spec)
-        Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))
-        return E @ model.dual_coeffs + Phi @ model.poly_coeffs
-    raise ValueError(f"unknown model kind {model.kind!r}")
+    E = distance_kernel_matrix(Xtest, model.X, model.spec)
+    Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))
+    return E @ model.dual_coeffs + Phi @ model.poly_coeffs

@@ -7,7 +7,8 @@ against Monte Carlo), a cumulative-quadrature CDF for the frequency density,
 the polynomial kernel part through bivariate Gaussian moments, a dense
 discretization of the leverage integral operator, the dense Gram
 factorization the structured grid estimator replaced, and the whole-array
-feature expressions the in-place feature maps must reproduce bit for bit.
+feature and distance-term expressions the in-place feature maps and the
+buffered distance term must reproduce bit for bit.
 """
 
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln
 
-from splinerf.kernels import KernelSpec, kernel_matrix
+from splinerf.kernels import KernelSpec, c_alpha, kernel_matrix
 from splinerf.regression import factor_spd
 
 _GL_LOW = np.polynomial.legendre.leggauss(10)
@@ -366,3 +367,10 @@ def fourier_features_reference(X, omegas):
     """cos and sin of the phases, computed apart and concatenated."""
     phase = X @ omegas.T
     return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
+
+
+def distance_term_reference(Xa, Xb, spec):
+    """c(alpha, d) |a - b|^(2 alpha + 1) / R over all pairs as one whole-block expression."""
+    A, B = Xa[:, None, :], Xb[None, :, :]
+    dist = np.sqrt(sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d)))
+    return c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R

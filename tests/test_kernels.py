@@ -8,7 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import k1_pol, mc_arccos_kernel, mc_nn_kernel, nn_kernel_quadrature, pol_kernel_gaussian
+from oracles import (distance_term_reference, k1_pol, mc_arccos_kernel, mc_nn_kernel,
+                     nn_kernel_quadrature, pol_kernel_gaussian)
 from splinerf.features import sample_fourier_ensemble, sample_nn_ensemble
 from splinerf.kernels import (
     DISTANCE_BLOCK_ENTRIES,
@@ -27,6 +28,7 @@ from splinerf.kernels import (
     monomial_matrix,
     rkhs_norm_1d,
     spline_fourier_constant,
+    _distance_term,
 )
 from splinerf.sampling import RngStream
 
@@ -342,6 +344,25 @@ def test_kernel_matrix_is_pol_part_plus_distance_term(alpha, d):
         assert K.shape == D.shape == (len(A), len(B))
         assert np.array_equal(K, kernel_matrix(A, B, spec, kind="pol_only") + D)
         assert np.array_equal(D, c_alpha(spec) * cdist(A, B) ** (2 * alpha + 1) / spec.R)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_distance_term_matches_whole_block_reference(alpha, d):
+    rng = np.random.default_rng(140 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xb = rng.uniform(-0.7, 0.7, (24, d))
+    rows_per_block = DISTANCE_BLOCK_ENTRIES // len(Xb)
+    # coincident points, where c(alpha, d) < 0 at even alpha gives -0.0, and a ragged last row block
+    Xa = np.vstack([Xb[:5], rng.uniform(-0.7, 0.7, (2 * rows_per_block + 7, d))])
+    ref = distance_term_reference(Xa, Xb, spec)
+    assert np.count_nonzero(ref == 0) == 5 and np.signbit(ref[0, 0]) == (alpha % 2 == 0)
+    term = _distance_term(Xa[:, None, :], Xb[None, :, :], spec)
+    assert np.array_equal(term, ref) and np.array_equal(np.signbit(term), np.signbit(ref))
+    D = distance_kernel_matrix(Xa, Xb, spec)
+    assert np.array_equal(D, ref) and np.array_equal(np.signbit(D), np.signbit(0.0 + ref))
+    assert np.array_equal(kernel_pairs(Xa[:24], Xb, spec),
+                          kernel_pairs(Xa[:24], Xb, spec, "pol_only") + np.diag(ref[:24]))
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import dense_grid_leverage, oracle_leverage, oracle_leverages, solve_regularized_operator
 from splinerf.leverage import (
+    SCORE_CHUNK_ENTRIES,
     GridLeverageEstimator,
     fourier_leverage,
     fourier_profiles,
@@ -175,6 +178,37 @@ def _features(grid, k=7):
     b = np.linspace(-1.0, 1.0, k)
     phase = grid[:, None] * np.linspace(0.0, 50.0, k)
     return np.hstack([grid[:, None] > b, np.cos(phase), np.sin(phase), np.zeros((grid.size, 1))])
+
+
+@pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted-repeated"])
+def test_chunked_scores_match_single_column_scores(sort):
+    n = 512
+    c = SCORE_CHUNK_ENTRIES // n
+    assert 1 < c < 201 and 201 % c  # several chunks, the last one ragged
+    grid = np.linspace(-1, 1, n)
+    if not sort:
+        grid = np.random.default_rng(9).permutation(grid)
+        grid[-1] = grid[0]
+    est = GridLeverageEstimator(grid, 1e-3)
+    Phi = _features(grid, k=67)[:, :201]
+    single = np.array([est.scores(Phi[:, j:j + 1])[0] for j in range(201)])
+    for k in (1, c - 1, c, c + 1, 201):
+        assert np.array_equal(est.scores(Phi[:, :k]), single[:k]), k
+
+
+def test_profiles_peak_memory_is_far_below_one_feature_array():
+    # fig3's three profiles at n = 2^16 would hold (n, 201) arrays of 100.5 MiB if built whole
+    lam, n = 1e-3, 2 ** 16
+    est = GridLeverageEstimator(np.linspace(-1, 1, n), lam)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        nn_profile(lam, estimator=est)
+        fourier_profiles(lam, estimator=est)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * n * 201 * 8
 
 
 @pytest.mark.parametrize("n", [2, 3, 64, 512, 4096])

@@ -291,6 +291,17 @@ def test_predict_trivial_cases():
     assert predict(model, np.empty((0, 1))).size == 0
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dual_and_spline_predict_at_non_finite_point_rejected(bad):
+    # a primal model's feature map raises here; the kernel models must not return a quiet NaN
+    spec = KernelSpec(1, 1, 1.0)
+    X = np.linspace(-0.5, 0.5, 6)[:, None]
+    for model in (fit_dual(X, X[:, 0] ** 2, spec, FitConfig(mode="ridge", mu=1e-6)),
+                  fit_constrained_spline(X, X[:, 0] ** 2, spec)):
+        with pytest.raises(ValueError, match="finite"):
+            predict(model, np.array([[0.1], [bad]]))
+
+
 def test_monomial_basis():
     exps = monomial_exponents(2, 2)
     assert len(exps) == 6
