@@ -2,13 +2,11 @@
 
 from .kernels import (
     Derivative1DProfile,
-    GramMatrix,
     KernelSpec,
     UnsupportedOrderError,
     arccos_kernel,
     c_alpha,
     distance_kernel_matrix,
-    gram,
     kd,
     kernel_matrix,
     kernel_pairs,

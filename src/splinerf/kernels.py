@@ -12,7 +12,6 @@ at x = y, and SciPy's spatial module is never imported.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -24,7 +23,6 @@ from scipy.special import gammaln
 __all__ = [
     "UnsupportedOrderError",
     "KernelSpec",
-    "GramMatrix",
     "Derivative1DProfile",
     "c_alpha",
     "spline_fourier_constant",
@@ -35,7 +33,6 @@ __all__ = [
     "arccos_kernel",
     "kernel_matrix",
     "distance_kernel_matrix",
-    "gram",
     "make_profile",
     "rkhs_norm_1d",
 ]
@@ -63,15 +60,6 @@ class KernelSpec:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
         if self.R <= 0:
             raise ValueError(f"radius must be positive, got {self.R}")
-
-
-@dataclass(frozen=True)
-class GramMatrix:
-    """Symmetric kernel matrix with the jitter added to its diagonal."""
-
-    entries: np.ndarray
-    jitter: float = 0.0
-    n_outside_ball: int = 0
 
 
 def _log_gamma_ratio(a: int, d: int) -> float:
@@ -259,28 +247,6 @@ def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:
     """
     Xa, Xb = _as_points(Xa, spec.d), _as_points(Xb, spec.d)
     return _add_distance_term(np.zeros((len(Xa), len(Xb))), Xa, Xb, spec)
-
-
-def gram(points, spec: KernelSpec, kind: str = "nn", jitter: float = 0.0) -> GramMatrix:
-    """Symmetric Gram matrix over a point set, jitter added to the diagonal.
-
-    Points outside the closed ball are evaluated formally and counted in
-    ``n_outside_ball`` with a warning, not an error.
-    """
-    X = _as_points(points, spec.d)
-    if X.shape[0] == 0:
-        raise ValueError("gram requires at least one point")
-    if jitter < 0:
-        raise ValueError(f"jitter must be non-negative, got {jitter}")
-    norms = np.linalg.norm(X, axis=1)
-    n_outside = int(np.sum(norms > spec.R * (1.0 + 1e-12)))
-    if n_outside:
-        warnings.warn(f"{n_outside} point(s) outside the radius-{spec.R} ball; "
-                      "kernel evaluated formally", stacklevel=2)
-    K = kernel_matrix(X, X, spec, kind=kind)
-    K = 0.5 * (K + K.T)
-    K[np.diag_indices_from(K)] += jitter
-    return GramMatrix(entries=K, jitter=float(jitter), n_outside_ball=n_outside)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Interpolation, ridge regression and the constrained polyharmonic spline solve."""
+"""Interpolation, ridge regression and the constrained polyharmonic spline solve.
+
+Every dense solve goes through factor_spd: the constrained spline too, on its
+kernel projected onto the null space of the polynomial constraint.
+"""
 
 from __future__ import annotations
 
@@ -67,7 +71,9 @@ class RegressionModel:
                                + monomials(x) . poly_coeffs
 
     A fit to an (n, k) label matrix holds k coefficient columns, and predict
-    returns one column per label.
+    returns one column per label.  jitter_used is the configured jitter plus
+    factor_spd's JITTER_LADDER escalation; residual is max |f(x_i) - y_i| over
+    the training points, on the kernel without any shift.
     """
 
     kind: str
@@ -124,10 +130,12 @@ def factor_spd(K, shift: float = 0.0) -> SPDFactor:
 
 
 def _targets(y, n: int) -> np.ndarray:
-    """Targets as a float (n,) vector or (n, k) label matrix; any other shape raises."""
+    """Targets as a finite float (n,) vector or (n, k) label matrix; anything else raises."""
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[0] != n:
         raise ValueError(f"targets must have shape ({n},) or ({n}, k), got {y.shape}")
+    if not np.isfinite(y).all():
+        raise ValueError("targets must be finite")
     return y
 
 
@@ -173,8 +181,12 @@ def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig 
 def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mode="constrained_spline")) -> RegressionModel:
     """Distance-kernel spline with the polynomial constraint Phi^T lambda = 0.
 
-    Solves the saddle system [[K + n mu I, Phi], [Phi^T, 0]] [lambda; nu] = [y; 0]
-    where K holds only the conditionally positive distance kernel.
+    Solves (K + s I) lambda + Phi nu = y, Phi^T lambda = 0 with s = n mu + jitter,
+    where K holds only the conditionally positive distance kernel, on the null
+    space of Phi^T (Wahba 1990, ch. 1-2).  With Phi = Q1 R and P = I - Q1 Q1^T,
+    M = P K P + c Q1 Q1^T (c = max|K|) is positive definite, block-diagonal over
+    range(Phi), and factor_spd factors it; lambda = (M + s I)^{-1} P y and
+    R nu = Q1^T (y - K lambda).
     """
     X = _as_points(X, spec.d)
     n = X.shape[0]
@@ -184,28 +196,37 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     if n < n_poly:
         raise DegenerateDesignError(
             f"need at least {n_poly} points to pin the degree-{spec.alpha} polynomial block")
-    if np.linalg.matrix_rank(Phi) < n_poly:
+    Q, R = np.linalg.qr(Phi)
+    sv = np.linalg.svd(R, compute_uv=False)  # the singular values of Phi
+    if sv[-1] <= n * np.finfo(float).eps * sv[0]:
         raise DegenerateDesignError("monomial design matrix is rank deficient")
-    # K is exactly symmetric (exact differences) and stays unshifted for the
-    # residual; the saddle matrix is built once, in Fortran order, so LAPACK
-    # factors it in place instead of copying it.
+    shift = n * cfg.mu + cfg.jitter
+    if shift == 0 and len(np.unique(X, axis=0)) < n:
+        raise IllConditionedError("repeated training points make the unshifted system singular")
+    # least-squares residual y - Phi nu in extended precision (one step of residual
+    # refinement), split into its parts in range(Phi) and in the null space of Phi^T
+    nu = sla.solve_triangular(R, Q.T @ y)
+    resid = np.asarray(y - Phi.astype(np.longdouble) @ nu, dtype=float)
+    resid_q = Q.T @ resid
+    resid -= Q @ resid_q
+    # K is exactly symmetric, so K.T is its Fortran view, and M = K - [Q1 G] [G Q1]^T
+    # with G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one rank-2r dgemm update over K's memory
     K = distance_kernel_matrix(X, X, spec)
-    A = np.zeros((n + n_poly, n + n_poly), order="F")
-    A[:n, :n] = K
-    A[np.diag_indices(n)] += n * cfg.mu + cfg.jitter
-    A[:n, n:] = Phi
-    A[n:, :n] = Phi.T
-    rhs = np.concatenate([y, np.zeros((n_poly,) + y.shape[1:])])
-    try:
-        sol = sla.solve(A, rhs, assume_a="sym", overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise IllConditionedError(f"saddle system singular: {exc}") from exc
-    if not np.all(np.isfinite(sol)):
-        raise IllConditionedError("saddle system produced non-finite coefficients")
-    lam, nu = sol[:n], sol[n:]
-    residual = float(np.max(np.abs(K @ lam + Phi @ nu - y)))
-    return RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
-                           poly_coeffs=nu, jitter_used=cfg.jitter, residual=residual)
+    KQ = K @ Q
+    G = KQ - 0.5 * Q @ (Q.T @ KQ + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly))
+    sla.blas.dgemm(-1.0, np.hstack([Q, G]), np.hstack([G, Q]), beta=1.0, c=K.T, trans_b=True,
+                   overwrite_c=True)
+    factor = factor_spd(K, shift)
+    del K
+    lam = factor.solve(resid)
+    lam -= Q @ (Q.T @ lam)
+    # Phi^T lambda = 0, so the shift term of the first block row drops out of Q1^T
+    nu += sla.solve_triangular(R, resid_q - KQ.T @ lam)
+    model = RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
+                            poly_coeffs=nu, jitter_used=cfg.jitter + factor.escalation)
+    del factor  # the training misfit against K itself, without M or its factor alive
+    model.residual = float(np.max(np.abs(predict(model, X) - y)))
+    return model
 
 
 def predict(model: RegressionModel, Xtest) -> np.ndarray:

@@ -6,7 +6,8 @@ draws, closed-form moments of a uniform sphere direction (themselves checked
 against Monte Carlo), a cumulative-quadrature CDF for the frequency density,
 the polynomial kernel part through bivariate Gaussian moments, a dense
 discretization of the leverage integral operator, the dense Gram
-factorization the structured grid estimator replaced, and the whole-array
+factorization the structured grid estimator replaced, the symmetric-indefinite
+saddle solve the null-space spline solve replaced, and the whole-array
 feature and distance-term expressions the in-place feature maps and the
 buffered distance term must reproduce bit for bit.
 """
@@ -18,7 +19,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln
 
-from splinerf.kernels import KernelSpec, c_alpha, kernel_matrix
+from splinerf.kernels import (KernelSpec, c_alpha, distance_kernel_matrix, kernel_matrix,
+                              monomial_exponents, monomial_matrix)
 from splinerf.regression import factor_spd
 
 _GL_LOW = np.polynomial.legendre.leggauss(10)
@@ -374,3 +376,21 @@ def distance_term_reference(Xa, Xb, spec):
     A, B = Xa[:, None, :], Xb[None, :, :]
     dist = np.sqrt(sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d)))
     return c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+
+
+def saddle_solve(X, y, spec, shift):
+    """Constrained spline coefficients from the saddle system, solved as a whole:
+    [[K + shift I, Phi], [Phi^T, 0]] [lambda; nu] = [y; 0] with the symmetrized
+    distance kernel K, factored by LAPACK's symmetric-indefinite solver."""
+    n = X.shape[0]
+    Phi = monomial_matrix(X, monomial_exponents(spec.d, spec.alpha))
+    r = Phi.shape[1]
+    K = distance_kernel_matrix(X, X, spec)
+    K = 0.5 * (K + K.T)
+    A = np.zeros((n + r, n + r))
+    A[:n, :n] = K + shift * np.eye(n)
+    A[:n, n:] = Phi
+    A[n:, :n] = Phi.T
+    sol = sla.solve(A, np.concatenate([y, np.zeros((r,) + y.shape[1:])]), assume_a="sym",
+                    check_finite=False)
+    return sol[:n], sol[n:]
