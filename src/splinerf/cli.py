@@ -55,6 +55,9 @@ def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
 
 def _refined_grid(R: float, train: np.ndarray, n_grid: int = GRID_POINTS) -> np.ndarray:
     """Uniform grid with the nearest node to each training point replaced by it."""
+    if train.size > n_grid:
+        raise ValueError(f"{train.size} training points do not fit on the {n_grid}-point "
+                         f"curve grid; --n must be at most {n_grid}")
     grid = np.linspace(-R, R, n_grid)
     taken: set[int] = set()
     for xt in np.sort(train.ravel()):
@@ -114,8 +117,10 @@ def run_fig2(args: argparse.Namespace) -> None:
     spec = KernelSpec(0, 1, args.radius)
     n = args.n
     test = np.linspace(-args.radius, args.radius, GRID_POINTS)[:, None]
+    step = 2 * args.radius / (GRID_POINTS - 1)  # the spacing of test, as linspace computes it
     # The interpolation operator K_test (K + jI)^{-1}, one row per test point, is
-    # the prediction at the test points of a fit to the n unit labels.
+    # the prediction at the test points of a fit to the n unit labels.  The Fourier
+    # fit is applied on the test grid by grid_apply, without its (512, 2m) features.
     labels, fit_cfg = np.eye(n), FitConfig(jitter=INVERSION_JITTER)
     rows = []
     for rep in range(args.reps):
@@ -125,8 +130,10 @@ def run_fig2(args: argparse.Namespace) -> None:
         for m in args.m:
             nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-nn", rep, m)))
             f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-fourier", rep, m)))
-            for method, ens in (("nn", nn_ens), ("fourier", f_ens)):
-                approx = predict(fit_primal(X, labels, ens, fit_cfg), test)
+            nn_approx = predict(fit_primal(X, labels, nn_ens, fit_cfg), test)
+            f_weights = fit_primal(X, labels, f_ens, fit_cfg).feature_weights
+            f_approx = f_ens.grid_apply(f_weights, -args.radius, step, GRID_POINTS)
+            for method, approx in (("nn", nn_approx), ("fourier", f_approx)):
                 err = float(np.sum(np.square(exact - approx)))  # numpy's sum, not a threaded BLAS dot
                 rows.append((m, rep, method, err))
     metadata = [("experiment", "fig2"), ("alpha", spec.alpha), ("radius", args.radius),

@@ -91,6 +91,51 @@ class FourierFeatureMap:
         np.sin(phase, out=phase)
         return out
 
+    def grid_apply(self, weights, start: float, step: float, n: int) -> np.ndarray:
+        """features(start + step * k for k < n) @ weights on a uniform grid, for d = 1 only.
+
+        The grid is cut into blocks of b rows, b the power of two at or above
+        sqrt(n).  Row j of the block that starts at s has phase omega s + omega j step,
+        so its cos and sin are those of e^{i omega s} e^{i omega j step}, one
+        complex product of a block-start and an offset phasor (angle addition):
+        O(sqrt(n) m) cos/sin calls instead of n m.  A complex block read as
+        floats holds each frequency's cos and sin side by side, so the weights
+        are interleaved to match.  Each block is multiplied by them as it is
+        built: no (n, 2m) array exists and the temporaries are O(sqrt(n) m).
+        """
+        if self.spec.d != 1:
+            raise ValueError(f"grid_apply needs d = 1, got d = {self.spec.d}")
+        if n < 1:
+            raise ValueError(f"grid_apply needs at least one point, got n = {n}")
+        if not (np.isfinite(start) and np.isfinite(step)):
+            raise ValueError("points must be finite")
+        b = 1
+        while b * b < n:
+            b *= 2
+        omegas, m = self.frequencies.omegas[:, 0], self.m
+        starts = _phasors(np.multiply.outer(start + np.arange(0, n, b) * step, omegas))
+        offsets = _phasors(np.multiply.outer(np.arange(b) * step, omegas))
+        weights = np.asarray(weights, dtype=float)
+        if weights.ndim not in (1, 2) or len(weights) != 2 * m:
+            raise ValueError(f"weights must have shape ({2 * m},) or ({2 * m}, k), got {weights.shape}")
+        interleaved = np.empty_like(weights)
+        interleaved[0::2], interleaved[1::2] = weights[:m], weights[m:]
+        out = np.empty((n,) + weights.shape[1:])
+        block = np.empty_like(offsets)
+        for i, z in enumerate(starts):
+            rows = slice(i * b, min(n, (i + 1) * b))
+            k = rows.stop - rows.start
+            np.multiply(offsets[:k], z, out=block[:k])
+            np.matmul(block[:k].view(float), interleaved, out=out[rows])
+        return out
+
+
+def _phasors(phase: np.ndarray) -> np.ndarray:
+    """e^{i phase}, built from cos(phase) and sin(phase)."""
+    z = np.empty(phase.shape, dtype=complex)
+    z.real, z.imag = np.cos(phase), np.sin(phase)
+    return z
+
 
 def sample_nn_ensemble(spec: KernelSpec, m: int, stream: RngStream) -> NNFeatureMap:
     return NNFeatureMap(spec, sample_nn_params(spec.d, spec.R, m, stream))

@@ -5,7 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from splinerf.cli import main
+from splinerf.cli import GRID_POINTS, _refined_grid, main
+from splinerf.features import FourierFeatureMap
 from splinerf.regression import SPDFactor
 from splinerf.sampling import RngStream, derive_seed
 
@@ -147,6 +148,29 @@ def test_fig1_reports_fits_that_miss_training_data(tmp_path, capsys):
     assert all("residual" in line and "jitter_used" in line for line in lines)
 
 
+def test_refined_grid_holds_grid_points_training_points():
+    X = np.random.default_rng(41).uniform(-1, 1, size=(GRID_POINTS, 1))
+    grid = _refined_grid(1.0, X)
+    assert grid.shape == (GRID_POINTS,) and np.array_equal(grid, np.sort(X.ravel()))
+    with pytest.raises(ValueError, match=f"must be at most {GRID_POINTS}"):
+        _refined_grid(1.0, np.vstack([X, [[0.0]]]))
+
+
+def test_fig2_builds_no_fourier_test_features(tmp_path, monkeypatch):
+    # the Fourier fit is applied on the test grid by grid_apply, so features only sees training rows
+    rows = []
+    features = FourierFeatureMap.features
+
+    def recording_features(self, X):
+        rows.append(len(X))
+        return features(self, X)
+
+    monkeypatch.setattr(FourierFeatureMap, "features", recording_features)
+    assert main(["--experiment", "fig2", "--seed", "0", "--reps", "1", "--m", "32", "--m", "64",
+                 "--out", str(tmp_path / "f2.csv")]) == 0
+    assert rows == [20, 20]
+
+
 def test_fig2_small_run(tmp_path):
     out1, out2 = tmp_path / "f2a.csv", tmp_path / "f2b.csv"
     args = ["--experiment", "fig2", "--seed", "0", "--reps", "3",
@@ -283,7 +307,9 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
      "fig3: regularization lambda must be positive"),
     (["--experiment", "fig1", "--radius", "-1"], "fig1: radius must be positive"),
     (["--experiment", "kernel-eval", "--dim", "0"], "kernel-eval: dimension must be >= 1"),
-], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "kernel-eval-dim-0"])
+    (["--experiment", "fig1", "--n", "513", "--reps", "1"],
+     "fig1: 513 training points do not fit on the 512-point curve grid"),
+], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "kernel-eval-dim-0", "fig1-n-513"])
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
     out = tmp_path / "out.csv"

@@ -206,6 +206,42 @@ def test_primal_predict_at_non_finite_point_rejected(bad):
         predict(model, np.array([[0.1], [bad]]))
 
 
+@pytest.fixture(scope="module")
+def heavy_tailed_fourier_map():
+    # this draw reaches |omega| = 2.8e5, as fig2's own draws do at seeds 2 and 3 (3.2e4 at seed 0)
+    ens = sample_fourier_ensemble(KernelSpec(0, 1, 1.0), 2048, RngStream(7))
+    assert np.abs(ens.frequencies.omegas).max() > 2.5e5
+    return ens
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 511, 512, 513])
+def test_grid_apply_matches_features(heavy_tailed_fourier_map, n, k):
+    ens, R = heavy_tailed_fourier_map, 1.0
+    W = np.random.default_rng(n).standard_normal((2 * ens.m,) if k is None else (2 * ens.m, k))
+    start, step = -R, 2 * R / max(n - 1, 1)
+    got = ens.grid_apply(W, start, step, n)
+    ref = ens.features(start + step * np.arange(n)[:, None]) @ W
+    assert got.shape == ref.shape
+    # Both phases round omega * t, |t| <= R, to within a few ulp of max|omega| R, so each
+    # feature entry differs by that much and each output row by that times sum |W|.
+    bound = 4 * np.finfo(float).eps * (1 + np.abs(ens.frequencies.omegas).max() * R)
+    np.testing.assert_array_less(np.abs(got - ref), np.broadcast_to(bound * np.abs(W).sum(axis=0), got.shape))
+
+
+def test_grid_apply_rejects_bad_grids(heavy_tailed_fourier_map):
+    W = np.ones(2 * heavy_tailed_fourier_map.m)
+    with pytest.raises(ValueError, match="at least one point"):
+        heavy_tailed_fourier_map.grid_apply(W, -1.0, 0.1, 0)
+    with pytest.raises(ValueError, match="finite"):
+        heavy_tailed_fourier_map.grid_apply(W, np.nan, 0.1, 4)
+    with pytest.raises(ValueError, match="weights must have shape"):
+        heavy_tailed_fourier_map.grid_apply(W[1:], -1.0, 0.1, 4)
+    ens2 = sample_fourier_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7))
+    with pytest.raises(ValueError, match="d = 1"):
+        ens2.grid_apply(np.ones(16), -1.0, 0.1, 4)
+
+
 def test_ensemble_validation():
     spec = KernelSpec(0, 1, 1.0)
     with pytest.raises(ValueError):
