@@ -14,7 +14,6 @@ from .kernels import (
     monomial_exponents,
     monomial_matrix,
     rkhs_norm_1d,
-    spline_fourier_constant,
 )
 from .features import (
     FourierFeatureMap,

@@ -170,13 +170,14 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
     """Evaluate the kernel on point pairs read from stdin, one pair per line.
 
     All lines are parsed first, then the valid pairs are evaluated in one call:
-    a malformed line is reported by its number, a kernel error (such as an
-    unsupported alpha) once, with no rows written.
+    a malformed line or one with a non-finite coordinate is reported by its
+    number and gets no row, a kernel error (such as an unsupported alpha) is
+    reported once, with no rows written.
     """
     d = args.dim
     spec = KernelSpec(args.alpha, d, args.radius)
     linenos, pairs = [], array("d")
-    n_bad = 0
+    errors = []  # (line number, message)
     for lineno, line in enumerate(sys.stdin, start=1):
         line = line.strip()
         if not line:
@@ -186,12 +187,17 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
             if len(values) != 2 * d:
                 raise ValueError(f"expected {2 * d} reals, got {len(values)}")
         except ValueError as exc:
-            print(f"line {lineno}: {exc}", file=sys.stderr)
-            n_bad += 1
+            errors.append((lineno, str(exc)))
             continue
         linenos.append(lineno)
         pairs.extend(values)
     P = np.asarray(pairs).reshape(len(linenos), 2 * d)
+    finite = np.isfinite(P).all(axis=1)  # one pass over every pair, after parsing
+    errors += [(linenos[i], "non-finite coordinate") for i in np.flatnonzero(~finite)]
+    linenos, P = np.asarray(linenos, dtype=int)[finite].tolist(), P[finite]
+    for lineno, message in sorted(errors):
+        print(f"line {lineno}: {message}", file=sys.stderr)
+    n_bad = len(errors)
     try:
         rows = list(zip(linenos, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel)))
     except ValueError as exc:

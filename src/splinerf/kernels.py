@@ -25,7 +25,6 @@ __all__ = [
     "KernelSpec",
     "Derivative1DProfile",
     "c_alpha",
-    "spline_fourier_constant",
     "monomial_exponents",
     "monomial_matrix",
     "kernel_pairs",
@@ -62,25 +61,12 @@ class KernelSpec:
             raise ValueError(f"radius must be positive, got {self.R}")
 
 
-def _log_gamma_ratio(a: int, d: int) -> float:
-    """log Gamma(a+1)^3 Gamma(d/2) / (Gamma(2a+2) Gamma(d/2+1/2+a)): finite for large a + d."""
-    return 3.0 * gammaln(a + 1) + gammaln(d / 2.0) - gammaln(2 * a + 2) - gammaln(d / 2.0 + 0.5 + a)
-
-
 def c_alpha(spec: KernelSpec) -> float:
     """Distance-term coefficient; sign is (-1)^(alpha + 1)."""
-    lg = _log_gamma_ratio(spec.alpha, spec.d)
-    return (-1.0) ** (spec.alpha + 1) * float(np.exp(lg)) / (4.0 * np.sqrt(np.pi))
-
-
-def spline_fourier_constant(spec: KernelSpec) -> float:
-    """Positive constant b(alpha, d) scaling the |omega|^-(d+1+2 alpha) transform."""
     a, d = spec.alpha, spec.d
-    lg = _log_gamma_ratio(a, d)
-    # |c| * 2^(d+1+2a) * pi^(d/2-1) * Gamma(a+3/2) * Gamma(d/2+1/2+a); signs cancel.
-    lg_b = (lg + (d + 1 + 2 * a) * np.log(2.0) + (d / 2.0 - 1.0) * np.log(np.pi)
-            + gammaln(a + 1.5) + gammaln(d / 2.0 + 0.5 + a))
-    return float(np.exp(lg_b)) / (4.0 * np.sqrt(np.pi))
+    # log Gamma(a+1)^3 Gamma(d/2) / (Gamma(2a+2) Gamma(d/2+1/2+a)): finite for large a + d
+    lg = 3.0 * gammaln(a + 1) + gammaln(d / 2.0) - gammaln(2 * a + 2) - gammaln(d / 2.0 + 0.5 + a)
+    return (-1.0) ** (a + 1) * float(np.exp(lg)) / (4.0 * np.sqrt(np.pi))
 
 
 def monomial_exponents(d: int, max_degree: int):

@@ -185,8 +185,6 @@ class LeverageProfile:
     params: np.ndarray
     analytic: np.ndarray
     empirical: np.ndarray
-    lam: float
-    n: int
 
 
 def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
@@ -198,8 +196,7 @@ def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
 
 def _profile(method: str, feature, params, analytic, estimator: GridLeverageEstimator) -> LeverageProfile:
     """Profile of one feature family, whose feature at p has the values feature(x, p) on the grid."""
-    return LeverageProfile(method, params, analytic, estimator._scores(feature, params),
-                           estimator.lam, estimator.grid.size)
+    return LeverageProfile(method, params, analytic, estimator._scores(feature, params))
 
 
 def nn_profile(lam: float, estimator: GridLeverageEstimator, n_params: int = 201) -> LeverageProfile:

@@ -55,8 +55,8 @@ class FitConfig:
     def __post_init__(self):
         if self.mode not in ("interpolate", "ridge", "constrained_spline"):
             raise ValueError(f"unknown fit mode {self.mode!r}")
-        if self.mu < 0 or self.jitter < 0:
-            raise ValueError("mu and jitter must be non-negative")
+        if not (0 <= self.mu < np.inf and 0 <= self.jitter < np.inf):
+            raise ValueError(f"mu and jitter must be finite and non-negative, got {self.mu}, {self.jitter}")
         if self.mode == "interpolate" and self.mu > 0:
             raise ValueError(f"interpolate mode does not read mu, got mu = {self.mu}; use mode='ridge'")
 
@@ -89,7 +89,8 @@ class RegressionModel:
 
 @dataclass(frozen=True)
 class SPDFactor:
-    """Cholesky factor of 0.5 (K + K^T) + (shift + escalation) I.
+    """Cholesky factor of A + (shift + escalation) I, where A is the symmetric
+    matrix with A[i, j] = A[j, i] = K[i, j] for i <= j.
 
     escalation is the JITTER_LADDER rung the factorization needed (0 if none).
     """
@@ -98,33 +99,42 @@ class SPDFactor:
     escalation: float
 
     def solve(self, B) -> np.ndarray:
-        """(0.5 (K + K^T) + (shift + escalation) I)^{-1} B for a vector or an (n, k) matrix B."""
+        """(A + (shift + escalation) I)^{-1} B for a vector or an (n, k) matrix B."""
         return sla.cho_solve(self.factor, B, check_finite=False)
 
 
-def factor_spd(K, shift: float = 0.0) -> SPDFactor:
-    """Factor the symmetric part of K plus shift on the diagonal, once, for many solves.
+def _shifted(K: np.ndarray, diag: float) -> np.ndarray:
+    """K^T + diag I in a fresh Fortran-ordered array, whose lower triangle holds K[i, j], i <= j."""
+    A = np.array(K.T, order="F")
+    A[np.diag_indices_from(A)] += diag
+    return A
 
-    When Cholesky fails the diagonal is raised by each JITTER_LADDER rung in
-    turn. K is left unmodified: the symmetric part is built in place in one
-    Fortran-ordered array, and LAPACK factors it over itself.
+
+def factor_spd(K, shift: float = 0.0) -> SPDFactor:
+    """Factor K plus shift on the diagonal, once, for many solves.
+
+    Like LAPACK potrf, it reads one triangle of K, the entries K[i, j] with
+    i <= j, and never the other.  When Cholesky fails the diagonal is raised
+    by each JITTER_LADDER rung in turn; each try factors its own copy, so K is
+    left unmodified.
     """
     K = np.asarray(K, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
     if not np.isfinite(K).all():
         raise ValueError("matrix has non-finite entries")
+    if not np.isfinite(shift):
+        raise ValueError(f"diagonal shift must be finite, got {shift}")
     for extra in (0.0,) + JITTER_LADDER:
-        A = np.add(K, K.T, order="F")
-        A *= 0.5
-        A[np.diag_indices_from(A)] += shift + extra
         try:
-            return SPDFactor(sla.cho_factor(A, lower=True, overwrite_a=True,
-                                            check_finite=False), extra)
+            return SPDFactor(sla.cho_factor(_shifted(K, shift + extra), lower=True,
+                                            overwrite_a=True, check_finite=False), extra)
         except np.linalg.LinAlgError:
             continue
     top = shift + JITTER_LADDER[-1]
-    cond = float(np.linalg.cond(0.5 * (K + K.T) + top * np.eye(K.shape[0])))
+    ev = np.abs(np.linalg.eigvalsh(_shifted(K, top)))  # the lower triangle, as cho_factor reads
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = ev.max() / ev.min()
     raise IllConditionedError(
         f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
 

@@ -59,6 +59,20 @@ def test_kernel_eval_malformed_line(tmp_path, monkeypatch, capsys):
     assert [r[0] for r in rows] == ["1", "3"]  # good lines still evaluated
 
 
+def test_kernel_eval_non_finite_coordinate(tmp_path, monkeypatch, capsys):
+    # a non-finite coordinate is a malformed line: one stderr line, no row, exit 1
+    out = tmp_path / "k.csv"
+    monkeypatch.setattr("sys.stdin", io.StringIO("nan 0.5\n0.1 inf\n0.2 0.3\nx\n-inf 0\n"))
+    rc = main(["--experiment", "kernel-eval", "--dim", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == ["line 1", "line 2", "line 4", "line 5"]
+    assert "non-finite" in err[0] and "non-finite" in err[3]
+    _, _, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["3"]
+    assert np.isfinite(float(rows[0][1]))
+
+
 def test_kernel_eval_unsupported_kernel_reported_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "k.csv"
     monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n0.1 0.2\n0.3 -0.4\n"))

@@ -26,7 +26,6 @@ from splinerf.kernels import (
     monomial_exponents,
     monomial_matrix,
     rkhs_norm_1d,
-    spline_fourier_constant,
     _distance_term,
 )
 from splinerf.sampling import RngStream
@@ -51,26 +50,6 @@ def test_c_alpha_d3():
 
     e1 = np.array([1.0, 0.0, 0.0])
     assert abs(c_alpha(KernelSpec(0, 3)) + 0.25 * sphere_moment("abs_odd", e1, 0)) < 1e-15
-
-
-def test_spline_fourier_constant_values():
-    assert abs(spline_fourier_constant(KernelSpec(0, 1)) - 0.5) < 1e-14
-    assert abs(spline_fourier_constant(KernelSpec(1, 1)) - 0.5) < 1e-14
-
-
-def test_spline_fourier_constant_positive():
-    for alpha in range(5):
-        for d in (1, 2, 3, 7, 20):
-            assert spline_fourier_constant(KernelSpec(alpha, d)) > 0.0
-
-
-def test_spline_fourier_constant_independent_gamma():
-    # cross-check the log-gamma evaluation against math.lgamma, term by term
-    for alpha, d in [(1, 1), (2, 3), (0, 5), (3, 2)]:
-        c = c_alpha(KernelSpec(alpha, d))
-        direct = abs(c) * 2.0 ** (d + 1 + 2 * alpha) * math.pi ** (d / 2.0 - 1.0) \
-            * math.exp(math.lgamma(alpha + 1.5)) * math.exp(math.lgamma(d / 2.0 + 0.5 + alpha))
-        assert abs(spline_fourier_constant(KernelSpec(alpha, d)) - direct) < 1e-12 * direct
 
 
 def test_k1_pol_alpha1_formula():

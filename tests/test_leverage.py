@@ -274,8 +274,6 @@ def test_profiles_reject_a_different_lambda():
         nn_profile(1e-2, estimator=est)
     with pytest.raises(ValueError):
         fourier_profiles(1e-2, estimator=est)
-    assert nn_profile(1e-3, estimator=est).lam == est.lam
-    assert all(prof.lam == est.lam for prof in fourier_profiles(1e-3, estimator=est))
 
 
 def test_profile_shapes_and_positivity():

@@ -348,6 +348,13 @@ def test_fit_config_validation():
         FitConfig(mode="banana")
     with pytest.raises(ValueError):
         FitConfig(mu=-1.0)
+    # a non-finite shift would give NaN or all-zero coefficients without an error
+    for mode in ("ridge", "constrained_spline"):
+        for knob in ("mu", "jitter"):
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    FitConfig(mode=mode, **{knob: bad})
+        assert FitConfig(mode=mode, mu=1e-3).mu == 1e-3
 
 
 def test_interpolate_mode_rejects_mu():
@@ -367,11 +374,24 @@ def test_dual_and_primal_reject_constrained_spline_config():
         fit_primal(X, np.ones(6), ens, cfg)
 
 
+def _mirrored(K):
+    # the symmetric matrix factor_spd factors: K[i, j] for i <= j, mirrored below the diagonal
+    return np.triu(K) + np.triu(K, 1).T
+
+
 def _inline_cholesky_solve(K, shift, B):
-    # the symmetrize-shift-factor sequence factor_spd replaced, written out
     n = K.shape[0]
-    cf = sla.cho_factor(0.5 * (K + K.T) + shift * np.eye(n), lower=True)
+    cf = sla.cho_factor(_mirrored(K) + shift * np.eye(n), lower=True)
     return sla.cho_solve(cf, B)
+
+
+def _alpha3_gram(rng, n=60):
+    # alpha = 3, d = 3: the assembled Gram is symmetric only up to rounding
+    spec = KernelSpec(3, 3, 1.0)
+    X = rng.uniform(-0.5, 0.5, (n, 3))
+    K = kernel_matrix(X, X, spec)
+    assert not np.array_equal(K, K.T)
+    return K
 
 
 def test_factor_spd_matches_inline_cholesky():
@@ -380,11 +400,7 @@ def test_factor_spd_matches_inline_cholesky():
     spec1 = KernelSpec(0, 1, 1.0)
     X1 = rng.uniform(-1, 1, (20, 1))
     B1 = kernel_matrix(np.linspace(-1, 1, 512)[:, None], X1, spec1).T
-    # alpha = 3, d = 3: the assembled Gram is symmetric only up to rounding
-    spec3 = KernelSpec(3, 3, 1.0)
-    X3 = rng.uniform(-0.5, 0.5, (60, 3))
-    K3 = kernel_matrix(X3, X3, spec3)
-    assert not np.array_equal(K3, K3.T)
+    K3 = _alpha3_gram(rng)
     cases = [(kernel_matrix(X1, X1, spec1), 1e-10, B1),
              (K3, 1e-6, rng.standard_normal((60, 4))),
              (K3, 1e-6, rng.standard_normal(60))]
@@ -394,6 +410,36 @@ def test_factor_spd_matches_inline_cholesky():
         assert factor.escalation == 0.0
         assert np.array_equal(factor.solve(B), _inline_cholesky_solve(K, shift, B))
         assert np.array_equal(K, before)
+
+
+def test_factor_spd_ignores_the_strict_lower_triangle():
+    rng = np.random.default_rng(12)
+    K = _alpha3_gram(rng)
+    other = K.copy()
+    below = np.tril_indices_from(K, -1)
+    other[below] = rng.uniform(-1e3, 1e3, below[0].size)
+    B = rng.standard_normal((60, 3))
+    first, second = factor_spd(K, 1e-6), factor_spd(other, 1e-6)
+    assert first.factor[1] and second.factor[1]  # lower: cho_factor wrote the lower triangle
+    assert np.array_equal(np.tril(first.factor[0]), np.tril(second.factor[0]))
+    assert np.array_equal(first.solve(B), second.solve(B))
+
+
+def test_factor_spd_of_a_symmetric_matrix_matches_its_symmetric_part():
+    # fig1 and fig2 pass exactly symmetric matrices: their golden CSVs need this factor to be
+    # the one of the symmetric part 0.5 (K + K^T), bit for bit
+    rng = np.random.default_rng(13)
+    spec = KernelSpec(0, 1, 1.0)
+    X = rng.uniform(-1, 1, (20, 1))
+    ens = sample_fourier_ensemble(spec, 64, RngStream(7))
+    F = ens.features(X)
+    B = kernel_matrix(np.linspace(-1, 1, 512)[:, None], X, spec).T
+    for K in (kernel_matrix(X, X, spec), ens.scaling * (F @ F.T)):
+        assert np.array_equal(K, K.T)
+        factor = factor_spd(K, 1e-10)
+        cf = sla.cho_factor(0.5 * (K + K.T) + 1e-10 * np.eye(20), lower=True)
+        assert np.array_equal(np.tril(factor.factor[0]), np.tril(cf[0]))
+        assert np.array_equal(factor.solve(B), sla.cho_solve(cf, B))
 
 
 def test_factor_spd_escalates_and_fit_reports_the_rung():
@@ -420,6 +466,10 @@ def test_factor_spd_rejects_bad_matrices():
     assert not isinstance(exc.value, IllConditionedError)
     with pytest.raises(ValueError):
         factor_spd(np.ones((1, 5)))
+    for shift in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError) as exc:
+            factor_spd(np.eye(3), shift)
+        assert not isinstance(exc.value, IllConditionedError)
 
 
 D = 2
