@@ -119,8 +119,8 @@ def run_fig2(args: argparse.Namespace) -> None:
     test = np.linspace(-args.radius, args.radius, GRID_POINTS)[:, None]
     step = 2 * args.radius / (GRID_POINTS - 1)  # the spacing of test, as linspace computes it
     # The interpolation operator K_test (K + jI)^{-1}, one row per test point, is
-    # the prediction at the test points of a fit to the n unit labels.  The Fourier
-    # fit is applied on the test grid by grid_apply, without its (512, 2m) features.
+    # the prediction at the test points of a fit to the n unit labels.  Both feature
+    # fits are applied on the test grid by grid_apply, without any test features.
     labels, fit_cfg = np.eye(n), FitConfig(jitter=INVERSION_JITTER)
     rows = []
     for rep in range(args.reps):
@@ -130,10 +130,9 @@ def run_fig2(args: argparse.Namespace) -> None:
         for m in args.m:
             nn_ens = sample_nn_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-nn", rep, m)))
             f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-fourier", rep, m)))
-            nn_approx = predict(fit_primal(X, labels, nn_ens, fit_cfg), test)
-            f_weights = fit_primal(X, labels, f_ens, fit_cfg).feature_weights
-            f_approx = f_ens.grid_apply(f_weights, -args.radius, step, GRID_POINTS)
-            for method, approx in (("nn", nn_approx), ("fourier", f_approx)):
+            for method, ens in (("nn", nn_ens), ("fourier", f_ens)):
+                weights = fit_primal(X, labels, ens, fit_cfg).feature_weights
+                approx = ens.grid_apply(weights, -args.radius, step, GRID_POINTS)
                 err = float(np.sum(np.square(exact - approx)))  # numpy's sum, not a threaded BLAS dot
                 rows.append((m, rep, method, err))
     metadata = [("experiment", "fig2"), ("alpha", spec.alpha), ("radius", args.radius),

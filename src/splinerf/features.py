@@ -56,6 +56,25 @@ class NNFeatureMap:
         np.maximum(pre, 0.0, out=pre)
         return np.power(pre, self.spec.alpha, out=pre)
 
+    def grid_apply(self, weights, start: float, step: float, n: int) -> np.ndarray:
+        """features(start + step * k for k < n) @ weights, for d = 1 and alpha = 0 only.
+
+        With w_j = +-1 exactly, fl(w_j t + b_j) > 0 exactly when -b_j < w_j t, so the
+        features of one sign on at t are a prefix of them in -b order (searchsorted):
+        f(t) is two prefix sums of the weights, O(m log m + (n + m) k), no (n, m) array.
+        """
+        weights = _check_grid(self.spec, self.m, weights, start, step, n)
+        w, b = self.params.directions[:, 0], self.params.biases
+        if not np.all(np.abs(w) == 1.0):
+            raise ValueError("grid_apply needs every direction to be exactly +1 or -1")
+        order = np.argsort(-b, kind="stable")  # every feature, in threshold order
+        t, out = start + step * np.arange(n), np.zeros((n,) + weights.shape[1:])
+        for sign in (1.0, -1.0):
+            on = order[w[order] == sign]
+            sums = np.cumsum(np.insert(weights[on], 0, 0.0, axis=0), axis=0)
+            out += sums[np.searchsorted(-b[on], sign * t, side="left")]
+        return out
+
 
 @dataclass(frozen=True)
 class FourierFeatureMap:
@@ -103,21 +122,13 @@ class FourierFeatureMap:
         are interleaved to match.  Each block is multiplied by them as it is
         built: no (n, 2m) array exists and the temporaries are O(sqrt(n) m).
         """
-        if self.spec.d != 1:
-            raise ValueError(f"grid_apply needs d = 1, got d = {self.spec.d}")
-        if n < 1:
-            raise ValueError(f"grid_apply needs at least one point, got n = {n}")
-        if not (np.isfinite(start) and np.isfinite(step)):
-            raise ValueError("points must be finite")
+        weights = _check_grid(self.spec, 2 * self.m, weights, start, step, n)
         b = 1
         while b * b < n:
             b *= 2
         omegas, m = self.frequencies.omegas[:, 0], self.m
         starts = _phasors(np.multiply.outer(start + np.arange(0, n, b) * step, omegas))
         offsets = _phasors(np.multiply.outer(np.arange(b) * step, omegas))
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim not in (1, 2) or len(weights) != 2 * m:
-            raise ValueError(f"weights must have shape ({2 * m},) or ({2 * m}, k), got {weights.shape}")
         interleaved = np.empty_like(weights)
         interleaved[0::2], interleaved[1::2] = weights[:m], weights[m:]
         out = np.empty((n,) + weights.shape[1:])
@@ -128,6 +139,20 @@ class FourierFeatureMap:
             np.multiply(offsets[:k], z, out=block[:k])
             np.matmul(block[:k].view(float), interleaved, out=out[rows])
         return out
+
+
+def _check_grid(spec: KernelSpec, columns: int, weights, start: float, step: float, n: int) -> np.ndarray:
+    """The checks of both maps' grid_apply; returns the weights as a float array."""
+    if spec.d != 1 or spec.alpha != 0:
+        raise ValueError(f"grid_apply needs d = 1 and alpha = 0, got d = {spec.d}, alpha = {spec.alpha}")
+    if n < 1:
+        raise ValueError(f"grid_apply needs at least one point, got n = {n}")
+    if not (np.isfinite(start) and np.isfinite(step)):
+        raise ValueError("points must be finite")
+    weights = np.asarray(weights, dtype=float)
+    if weights.ndim not in (1, 2) or len(weights) != columns:
+        raise ValueError(f"weights must have shape ({columns},) or ({columns}, k), got {weights.shape}")
+    return weights
 
 
 def _phasors(phase: np.ndarray) -> np.ndarray:

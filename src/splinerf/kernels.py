@@ -57,8 +57,8 @@ class KernelSpec:
             raise ValueError(f"alpha must be a natural number, got {self.alpha}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if self.R <= 0:
-            raise ValueError(f"radius must be positive, got {self.R}")
+        if not 0 < self.R < np.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.R}")
 
 
 def c_alpha(spec: KernelSpec) -> float:

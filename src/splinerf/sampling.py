@@ -119,8 +119,8 @@ def sample_nn_params(d: int, R: float, m: int, stream: RngStream) -> NNParams:
     """Draw m i.i.d. pairs: direction uniform on the sphere, bias uniform on [-R, R]."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
     if m < 0:
         raise ValueError(f"ensemble size must be non-negative, got {m}")
     rng = stream.generator()
@@ -152,8 +152,8 @@ def _rejection_round(R: float, k: int, rng: np.random.Generator):
 
 def sample_fourier_taus(R: float, m: int, stream: RngStream) -> np.ndarray:
     """Draw m frequency magnitudes (vectorised rejection rounds)."""
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
     rng = stream.generator()
@@ -179,8 +179,8 @@ def tau_rejection_stats(R: float, n_proposals: int, stream: RngStream):
     Returns (accepted_samples, n_accepted); the expected acceptance rate is
     1 / REJECTION_ENVELOPE = 0.5.
     """
-    if R <= 0:
-        raise ValueError(f"radius must be positive, got {R}")
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
     rng = stream.generator()
     accepted = _rejection_round(R, int(n_proposals), rng)
     return accepted, accepted.size

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from splinerf.cli import GRID_POINTS, _refined_grid, main
-from splinerf.features import FourierFeatureMap
+from splinerf.features import FourierFeatureMap, NNFeatureMap
 from splinerf.regression import SPDFactor
 from splinerf.sampling import RngStream, derive_seed
 
@@ -170,19 +170,24 @@ def test_refined_grid_holds_grid_points_training_points():
         _refined_grid(1.0, np.vstack([X, [[0.0]]]))
 
 
-def test_fig2_builds_no_fourier_test_features(tmp_path, monkeypatch):
-    # the Fourier fit is applied on the test grid by grid_apply, so features only sees training rows
-    rows = []
-    features = FourierFeatureMap.features
+def test_fig2_builds_no_test_features(tmp_path, monkeypatch):
+    # both feature fits are applied on the test grid by grid_apply, so features only sees training rows
+    rows = {"nn": [], "fourier": []}
 
-    def recording_features(self, X):
-        rows.append(len(X))
-        return features(self, X)
+    def record(cls, method):
+        features = cls.features
 
-    monkeypatch.setattr(FourierFeatureMap, "features", recording_features)
+        def recording_features(self, X):
+            rows[method].append(len(X))
+            return features(self, X)
+
+        monkeypatch.setattr(cls, "features", recording_features)
+
+    record(NNFeatureMap, "nn")
+    record(FourierFeatureMap, "fourier")
     assert main(["--experiment", "fig2", "--seed", "0", "--reps", "1", "--m", "32", "--m", "64",
                  "--out", str(tmp_path / "f2.csv")]) == 0
-    assert rows == [20, 20]
+    assert rows == {"nn": [20, 20], "fourier": [20, 20]}
 
 
 def test_fig2_small_run(tmp_path):
@@ -323,7 +328,18 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     (["--experiment", "kernel-eval", "--dim", "0"], "kernel-eval: dimension must be >= 1"),
     (["--experiment", "fig1", "--n", "513", "--reps", "1"],
      "fig1: 513 training points do not fit on the 512-point curve grid"),
-], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "kernel-eval-dim-0", "fig1-n-513"])
+    (["--experiment", "kernel-eval", "--radius", "nan"],
+     "kernel-eval: radius must be positive and finite, got nan"),
+    (["--experiment", "kernel-eval", "--radius", "inf"],
+     "kernel-eval: radius must be positive and finite, got inf"),
+    (["--experiment", "fig2", "--radius", "nan"], "fig2: radius must be positive and finite"),
+    (["--experiment", "feature-sample", "--radius", "inf"],
+     "feature-sample: radius must be positive and finite"),
+    (["--experiment", "feature-sample", "--kind", "fourier", "--radius", "nan"],
+     "feature-sample: radius must be positive and finite"),
+], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "kernel-eval-dim-0", "fig1-n-513",
+        "kernel-eval-radius-nan", "kernel-eval-radius-inf", "fig2-radius-nan",
+        "feature-sample-nn-radius-inf", "feature-sample-fourier-radius-nan"])
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
     out = tmp_path / "out.csv"

@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -240,6 +241,73 @@ def test_grid_apply_rejects_bad_grids(heavy_tailed_fourier_map):
     ens2 = sample_fourier_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7))
     with pytest.raises(ValueError, match="d = 1"):
         ens2.grid_apply(np.ones(16), -1.0, 0.1, 4)
+
+
+@pytest.fixture(scope="module")
+def step_map():
+    return sample_nn_ensemble(KernelSpec(0, 1, 1.0), 2048, RngStream(7))
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 511, 512, 513])
+def test_nn_grid_apply_matches_features(step_map, n, k):
+    W = np.random.default_rng(n).standard_normal((step_map.m,) if k is None else (step_map.m, k))
+    start, step = -1.0, 2.0 / max(n - 1, 1)
+    got = step_map.grid_apply(W, start, step, n)
+    ref = step_map.features(start + step * np.arange(n)[:, None]) @ W
+    assert got.shape == ref.shape
+    # Both sides add the same on-weights, in threshold and in index order.  A sum of
+    # k terms is off by at most k eps/2 sum|W|, and in practice by far less: this
+    # draw stays under 0.5 eps sum|W|, so c = 4 leaves a wide margin.
+    bound = 4 * np.finfo(float).eps * np.abs(W).sum(axis=0)
+    np.testing.assert_array_less(np.abs(got - ref), np.broadcast_to(bound, got.shape))
+
+
+def test_nn_grid_apply_ties_are_inactive():
+    # w = +1 is on at t > -b and w = -1 at t < b: on a grid of step 1/4 the
+    # thresholds -0.5, 0 (w = +1) and 0.25, -0.75 (w = -1) are grid points.
+    ens = _manual_nn_ensemble([[1.0], [1.0], [-1.0], [-1.0]], [0.5, 0.0, 0.25, -0.75],
+                              KernelSpec(0, 1, 1.0))
+    W = np.array([1.0, 2.0, 4.0, 8.0])  # every partial sum is exact
+    t = -1.0 + 0.25 * np.arange(9)
+    F = ens.features(t[:, None])
+    assert F[t == -0.5, 0] == 0 and F[t == 0.0, 1] == 0 and F[t == 0.25, 2] == 0
+    assert F[t == -0.75, 3] == 0
+    np.testing.assert_array_equal(ens.grid_apply(W, -1.0, 0.25, 9), F @ W)
+
+
+def test_nn_grid_apply_cancellation(step_map):
+    # Entries of 1e12 whose signs alternate in threshold order and in index order,
+    # each plus a unit normal: the output is far smaller than sum|W|.
+    m, rng = step_map.m, np.random.default_rng(5)
+    by_threshold = np.empty(m)
+    by_threshold[np.argsort(-step_map.params.biases)] = (-1.0) ** np.arange(m)
+    W = 1e12 * np.stack([by_threshold, (-1.0) ** np.arange(m)], axis=1) + rng.standard_normal((m, 2))
+    t = -1.0 + 2.0 / 511 * np.arange(512)
+    F = step_map.features(t[:, None]).astype(bool)
+    exact = np.array([[math.fsum(W[on, c]) for c in range(2)] for on in F])
+    # c = 1 against the correctly rounded sums: each prefix-sum step rounds by at
+    # most eps/2 of a partial sum, and for this W they add up to about 0.1 eps sum|W|.
+    bound = np.finfo(float).eps * np.abs(W).sum(axis=0)
+    np.testing.assert_array_less(np.abs(step_map.grid_apply(W, -1.0, 2.0 / 511, 512) - exact),
+                                 np.broadcast_to(bound, (512, 2)))
+
+
+def test_nn_grid_apply_rejects(step_map):
+    W = np.ones(step_map.m)
+    with pytest.raises(ValueError, match="d = 1"):
+        sample_nn_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), -1.0, 0.1, 4)
+    with pytest.raises(ValueError, match="alpha = 0"):
+        sample_nn_ensemble(KernelSpec(1, 1, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), -1.0, 0.1, 4)
+    with pytest.raises(ValueError, match="at least one point"):
+        step_map.grid_apply(W, -1.0, 0.1, 0)
+    with pytest.raises(ValueError, match="finite"):
+        step_map.grid_apply(W, np.nan, 0.1, 4)
+    with pytest.raises(ValueError, match="weights must have shape"):
+        step_map.grid_apply(np.ones((step_map.m + 1, 2)), -1.0, 0.1, 4)
+    half = _manual_nn_ensemble([[1.0], [0.5]], [0.0, 0.1], KernelSpec(0, 1, 1.0))
+    with pytest.raises(ValueError, match="exactly"):
+        half.grid_apply(np.ones(2), -1.0, 0.1, 4)
 
 
 def test_ensemble_validation():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import sphere_moment
+from splinerf.kernels import KernelSpec
 from splinerf.sampling import (
     RngStream,
     SamplerError,
@@ -71,6 +72,15 @@ def test_nn_params_invalid_radius():
         sample_nn_params(2, 0.0, 5, RngStream(0))
     with pytest.raises(ValueError):
         sample_nn_params(2, -1.0, 5, RngStream(0))
+
+
+@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
+def test_radius_must_be_positive_and_finite(R):
+    for make in (lambda: KernelSpec(0, 1, R), lambda: sample_nn_params(1, R, 5, RngStream(0)),
+                 lambda: sample_fourier_taus(R, 5, RngStream(0)),
+                 lambda: tau_rejection_stats(R, 5, RngStream(0))):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            make()
 
 
 def test_tau_scalar_deterministic():
