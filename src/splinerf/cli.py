@@ -18,7 +18,7 @@ from .features import sample_fourier_ensemble, sample_nn_ensemble
 from .kernels import KernelSpec, kernel_pairs
 from .leverage import GridLeverageEstimator, fourier_profiles, nn_profile
 from .regression import FitConfig, fit_dual, fit_primal, predict
-from .sampling import RngStream, derive_seed, sample_fourier_frequencies, sample_nn_params
+from .sampling import RngStream, SamplerError, derive_seed, sample_fourier_frequencies, sample_nn_params
 
 __all__ = ["main"]
 
@@ -53,24 +53,18 @@ def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
             fh.write(script)
 
 
-def _refined_grid(R: float, train: np.ndarray, n_grid: int = GRID_POINTS) -> np.ndarray:
-    """Uniform grid with the nearest node to each training point replaced by it."""
-    if train.size > n_grid:
-        raise ValueError(f"{train.size} training points do not fit on the {n_grid}-point "
-                         f"curve grid; --n must be at most {n_grid}")
-    grid = np.linspace(-R, R, n_grid)
-    taken: set[int] = set()
+def _refined_grid(R: float, train: np.ndarray) -> np.ndarray:
+    """Uniform grid with the nearest free node to each training point replaced by it."""
+    if train.size > GRID_POINTS:
+        raise ValueError(f"{train.size} training points do not fit on the {GRID_POINTS}-point "
+                         f"curve grid; --n must be at most {GRID_POINTS}")
+    grid = np.linspace(-R, R, GRID_POINTS)
+    free = np.ones(GRID_POINTS, dtype=bool)
     for xt in np.sort(train.ravel()):
         idx = int(np.argmin(np.abs(grid - xt)))
-        for offset in range(n_grid):
-            for cand in (idx - offset, idx + offset):
-                if 0 <= cand < n_grid and cand not in taken:
-                    grid[cand] = xt
-                    taken.add(cand)
-                    break
-            else:
-                continue
-            break
+        nodes = np.flatnonzero(free)
+        cand = int(nodes[np.argmin(np.abs(nodes - idx))])  # the lower node on a tie
+        grid[cand], free[cand] = xt, False
     return np.sort(grid)
 
 
@@ -300,7 +294,7 @@ def main(argv=None) -> int:
         return run(args) or 0
     except OSError as exc:
         print(f"cannot write {args.out!r}: {exc}", file=sys.stderr)
-    except ValueError as exc:
+    except (ValueError, SamplerError) as exc:
         print(f"{args.experiment}: {exc}", file=sys.stderr)
     return 1
 

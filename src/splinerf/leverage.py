@@ -31,8 +31,8 @@ SCORE_CHUNK_ENTRIES = 2 ** 15  # feature values per scoring chunk: every tempora
 
 def _check_lambda(lam: float) -> float:
     lam = float(lam)
-    if not lam > 0:
-        raise ValueError(f"regularization lambda must be positive, got {lam}")
+    if not 0 < lam < np.inf:
+        raise ValueError(f"regularization lambda must be positive and finite, got {lam}")
     return lam
 
 
@@ -46,8 +46,8 @@ def nn_leverage(b, lam: float):
     """
     lam = _check_lambda(lam)
     b = np.asarray(b, dtype=float)
-    if np.any(np.abs(b) > 1 + 1e-12):
-        raise ValueError("bias must lie in [-1, 1] (R = 1 normalization)")
+    if not np.all(np.abs(b) <= 1 + 1e-12):
+        raise ValueError("bias must be finite and lie in [-1, 1] (R = 1 normalization)")
     c = 1.0 / (2.0 * np.sqrt(lam))
     qp = np.exp(-c * (1.0 - b))
     qm = np.exp(-c * (1.0 + b))
@@ -82,6 +82,8 @@ def fourier_leverage(omega, lam: float):
     """
     lam = _check_lambda(lam)
     omega = np.asarray(omega, dtype=float)
+    if not np.all(np.isfinite(omega)):
+        raise ValueError("frequency omega must be finite")
     c = 1.0 / (2.0 * np.sqrt(lam))
     t = np.tanh(c)
     sl = np.sqrt(lam)
@@ -117,15 +119,14 @@ class GridLeverageEstimator:
 
     def __init__(self, grid, lam: float):
         lam = _check_lambda(lam)
-        self.grid = np.asarray(grid, dtype=float).ravel()
-        n = self.grid.size
+        # a score does not change when the grid is permuted: keep the sorted grid only
+        self._x = np.sort(np.asarray(grid, dtype=float).ravel())
+        n = self._x.size
         if n < 2:
             raise ValueError("grid estimator needs at least two points")
-        if not np.all(np.abs(self.grid) <= 1.0):  # outside, 1/2 - |x - y|/4 is not PSD
+        if not np.all(np.abs(self._x) <= 1.0):  # outside, 1/2 - |x - y|/4 is not PSD
             raise ValueError("grid points must be finite and lie in [-1, 1]")
         self.lam = lam
-        self._order = np.argsort(self.grid, kind="stable")
-        self._x = self.grid[self._order]
         s = self._s = n * lam
         band = np.stack([np.full(n, -2.0 * s), np.diff(self._x, prepend=-1.0) + 4.0 * s])
         band[1, 0] -= 2.0 * s  # D D^T is tridiagonal with diagonal (1, 2, ..., 2)
@@ -155,7 +156,7 @@ class GridLeverageEstimator:
         t0, t1 = np.sum(Z, axis=1)[:, None], np.sum(self._x * Z, axis=1)[:, None]
         return 0.5 * MZ + self._s * Z - 0.25 * (t0 * self._x + t1)
 
-    def _scores(self, feature, params) -> np.ndarray:
+    def scores(self, feature, params) -> np.ndarray:
         """Scores of the features feature(x, p), p in params: (c, n) values from the
         sorted grid x as a (1, n) row and a chunk of c parameters as a (c, 1) column."""
         out = np.empty(len(params))
@@ -166,15 +167,6 @@ class GridLeverageEstimator:
             Z += self._solve(B - self._apply(Z))
             out[i:i + step] = np.sum(B * Z, axis=1)
         return out
-
-    def scores(self, Phi) -> np.ndarray:
-        """Scores of the columns of Phi, shape (n, k), as a length-k array."""
-        Phi = np.asarray(Phi)
-        if Phi.ndim != 2 or Phi.shape[0] != self.grid.size:
-            raise ValueError(f"feature values must have shape ({self.grid.size}, k), "
-                             f"got {Phi.shape}")
-        # each chunk gathers its columns of Phi as rows in sorted grid order
-        return self._scores(lambda x, cols: Phi.T[cols, self._order], np.arange(Phi.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -194,16 +186,11 @@ def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
     return estimator.lam
 
 
-def _profile(method: str, feature, params, analytic, estimator: GridLeverageEstimator) -> LeverageProfile:
-    """Profile of one feature family, whose feature at p has the values feature(x, p) on the grid."""
-    return LeverageProfile(method, params, analytic, estimator._scores(feature, params))
-
-
 def nn_profile(lam: float, estimator: GridLeverageEstimator, n_params: int = 201) -> LeverageProfile:
     """NN leverage profile over b in [-1, 1]."""
     lam = _estimator_lambda(lam, estimator)
     params = np.linspace(-1.0, 1.0, n_params)
-    return _profile("nn", np.greater, params, nn_leverage(params, lam), estimator)
+    return LeverageProfile("nn", params, nn_leverage(params, lam), estimator.scores(np.greater, params))
 
 
 def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int = 201,
@@ -212,5 +199,7 @@ def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int
     lam = _estimator_lambda(lam, estimator)
     params = np.linspace(0.0, omega_max, n_params)
     cos_scores, sin_scores = fourier_leverage(params, lam)
-    return (_profile("fourier-cos", lambda x, w: np.cos(x * w), params, cos_scores, estimator),
-            _profile("fourier-sin", lambda x, w: np.sin(x * w), params, sin_scores, estimator))
+    return (LeverageProfile("fourier-cos", params, cos_scores,
+                            estimator.scores(lambda x, w: np.cos(x * w), params)),
+            LeverageProfile("fourier-sin", params, sin_scores,
+                            estimator.scores(lambda x, w: np.sin(x * w), params)))

@@ -1,8 +1,8 @@
 """Seeded sampling of sphere directions, network parameters and Fourier frequencies.
 
-All samplers are pure functions of their parameters and an :class:`RngStream`;
-identical ``(seed, draw_index)`` pairs reproduce identical output regardless of
-call order, which keeps parallel Gram/feature assembly reproducible.
+All samplers are pure functions of their parameters and an :class:`RngStream`,
+and each call draws from the one generator of its stream: identical seeds
+reproduce identical output regardless of call order.
 """
 
 from __future__ import annotations
@@ -37,30 +37,20 @@ class SamplerError(RuntimeError):
 
 @dataclass(frozen=True)
 class RngStream:
-    """Counter-based random stream addressed by (seed, draw_index).
+    """Counter-based random stream: a Philox generator keyed by a 64-bit seed.
 
-    Distinct draw indices are 2**64 Philox blocks apart, so streams at
-    different indices never overlap.
+    Distinct keys give independent streams; :func:`derive_seed` makes one
+    key per experiment cell.
     """
 
     seed: int
-    draw_index: int = 0
 
     def __post_init__(self):
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError(f"seed must be a 64-bit natural, got {self.seed}")
-        if int(self.draw_index) < 0:
-            raise ValueError(f"draw_index must be non-negative, got {self.draw_index}")
 
     def generator(self) -> np.random.Generator:
-        bitgen = np.random.Philox(key=int(self.seed), counter=int(self.draw_index) << 64)
-        return np.random.Generator(bitgen)
-
-    def at(self, draw_index: int) -> "RngStream":
-        return RngStream(self.seed, draw_index)
-
-    def next(self, step: int = 1) -> "RngStream":
-        return RngStream(self.seed, self.draw_index + step)
+        return np.random.Generator(np.random.Philox(key=int(self.seed)))
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -130,12 +120,12 @@ def sample_nn_params(d: int, R: float, m: int, stream: RngStream) -> NNParams:
 
 
 def tau_density(tau, R: float):
-    """Frequency magnitude density sin^2(R tau) / (pi R tau^2), R/pi at tau = 0."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.full(tau.shape, R / np.pi)
-    nz = np.abs(tau) >= 1e-8
-    out[nz] = np.sin(R * tau[nz]) ** 2 / (np.pi * R * tau[nz] ** 2)
-    return out
+    """Frequency magnitude density sin^2(R tau) / (pi R tau^2) = R/pi (sin u / u)^2, u = R tau."""
+    u = R * np.asarray(tau, dtype=float)
+    out = np.ones(u.shape)
+    nz = np.abs(u) >= 1e-8
+    out[nz] = (np.sin(u[nz]) / u[nz]) ** 2
+    return R / np.pi * out
 
 
 def _cauchy_density(tau: np.ndarray, R: float) -> np.ndarray:
@@ -150,13 +140,12 @@ def _rejection_round(R: float, k: int, rng: np.random.Generator):
     return proposals[accepted]
 
 
-def sample_fourier_taus(R: float, m: int, stream: RngStream) -> np.ndarray:
-    """Draw m frequency magnitudes (vectorised rejection rounds)."""
+def _taus(R: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """m frequency magnitudes from rng by vectorised rejection rounds."""
     if not 0 < R < np.inf:
         raise ValueError(f"radius must be positive and finite, got {R}")
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
-    rng = stream.generator()
     chunks = []
     have = 0
     proposals_used = 0
@@ -171,6 +160,11 @@ def sample_fourier_taus(R: float, m: int, stream: RngStream) -> np.ndarray:
         chunks.append(got)
         have += got.size
     return np.concatenate(chunks)[:m] if chunks else np.empty(0)
+
+
+def sample_fourier_taus(R: float, m: int, stream: RngStream) -> np.ndarray:
+    """Draw m frequency magnitudes."""
+    return _taus(R, m, stream.generator())
 
 
 def tau_rejection_stats(R: float, n_proposals: int, stream: RngStream):
@@ -190,6 +184,7 @@ def sample_fourier_frequencies(d: int, R: float, m: int, stream: RngStream) -> F
     """Draw m frequencies omega = tau * w, tau from the sin^2 density, w on the sphere."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    taus = sample_fourier_taus(R, m, stream)
-    directions = _unit_rows(stream.next().generator(), m, d)
+    rng = stream.generator()
+    taus = _taus(R, m, rng)
+    directions = _unit_rows(rng, m, d)
     return FourierFrequencies(taus=taus, directions=directions)

@@ -324,6 +324,10 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     (["--experiment", "fig3", "--n", "1"], "fig3: grid estimator needs at least two points"),
     (["--experiment", "fig3", "--n", "64", "--lambda", "0"],
      "fig3: regularization lambda must be positive"),
+    (["--experiment", "fig3", "--n", "64", "--lambda", "inf"],
+     "fig3: regularization lambda must be positive and finite, got inf"),
+    (["--experiment", "fig3", "--n", "64", "--lambda", "nan"],
+     "fig3: regularization lambda must be positive and finite, got nan"),
     (["--experiment", "fig1", "--radius", "-1"], "fig1: radius must be positive"),
     (["--experiment", "kernel-eval", "--dim", "0"], "kernel-eval: dimension must be >= 1"),
     (["--experiment", "fig1", "--n", "513", "--reps", "1"],
@@ -337,7 +341,8 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
      "feature-sample: radius must be positive and finite"),
     (["--experiment", "feature-sample", "--kind", "fourier", "--radius", "nan"],
      "feature-sample: radius must be positive and finite"),
-], ids=["fig3-n-1", "fig3-lambda-0", "fig1-radius--1", "kernel-eval-dim-0", "fig1-n-513",
+], ids=["fig3-n-1", "fig3-lambda-0", "fig3-lambda-inf", "fig3-lambda-nan", "fig1-radius--1",
+        "kernel-eval-dim-0", "fig1-n-513",
         "kernel-eval-radius-nan", "kernel-eval-radius-inf", "fig2-radius-nan",
         "feature-sample-nn-radius-inf", "feature-sample-fourier-radius-nan"])
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, message):
@@ -347,6 +352,27 @@ def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, me
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(message), err
     assert not out.exists()
+
+
+def test_sampler_error_is_one_line(tmp_path, monkeypatch, capsys):
+    # a rejection loop that accepts nothing exhausts its budget in one round
+    monkeypatch.setattr("splinerf.sampling._MAX_PROPOSALS", 0)
+    monkeypatch.setattr("splinerf.sampling._rejection_round", lambda R, k, rng: np.empty(0))
+    out = tmp_path / "out.csv"
+    assert main(["--experiment", "feature-sample", "--kind", "fourier", "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["feature-sample: rejection sampler exhausted 64 proposals"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("radius", ["1e-200", "1e200"])
+def test_feature_sample_fourier_at_extreme_radii(tmp_path, radius):
+    out = tmp_path / "fs.csv"
+    assert main(["--experiment", "feature-sample", "--kind", "fourier", "--radius", radius,
+                 "--m", "1000", "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    u = float(radius) * np.array([float(r[1]) for r in rows])
+    assert np.all(np.isfinite(u)) and 0.6 < np.median(np.abs(u)) < 1.1  # 0.854 for the sin^2 law
 
 
 def test_fixed_flags_accept_their_value(tmp_path):

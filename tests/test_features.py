@@ -14,7 +14,7 @@ from splinerf.features import (
 )
 from splinerf.kernels import KernelSpec, UnsupportedOrderError, kd
 from splinerf.regression import FitConfig, fit_primal, predict
-from splinerf.sampling import FourierFrequencies, NNParams, RngStream, sample_nn_params
+from splinerf.sampling import FourierFrequencies, NNParams, RngStream, derive_seed, sample_nn_params
 
 
 def _manual_nn_ensemble(w, b, spec):
@@ -150,7 +150,7 @@ def test_law_of_large_numbers_rate():
         errors = np.zeros(len(m_grid))
         for seed in range(100):
             for i, m in enumerate(m_grid):
-                ens = sampler(spec, m, RngStream(1000 + seed, i))
+                ens = sampler(spec, m, RngStream(derive_seed(1000 + seed, i)))
                 errors[i] += abs(approx_kernel(x, y, ens)[0, 0] - exact)
         errors /= 100
         slope = np.polyfit(np.log10(m_grid), np.log10(errors), 1)[0]
@@ -169,7 +169,7 @@ def test_feature_matrix_dimension_mismatch():
 @pytest.mark.parametrize("d", [1, 3])
 def test_nn_features_match_reference_bit_for_bit(d, alpha):
     spec = KernelSpec(alpha, d, 1.0)
-    params = sample_nn_params(d, 1.0, 300, RngStream(35, d))
+    params = sample_nn_params(d, 1.0, 300, RngStream(derive_seed(35, d)))
     W, b = params.directions.copy(), params.biases.copy()
     X = np.random.default_rng(36).uniform(-0.7, 0.7, (40, d))
     # the first point lies on the first feature's hyperplane: w . x + b is exactly 0
@@ -181,7 +181,7 @@ def test_nn_features_match_reference_bit_for_bit(d, alpha):
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_fourier_features_match_reference_bit_for_bit(d):
-    ens = sample_fourier_ensemble(KernelSpec(0, d, 1.0), 300, RngStream(37, d))
+    ens = sample_fourier_ensemble(KernelSpec(0, d, 1.0), 300, RngStream(derive_seed(37, d)))
     X = np.random.default_rng(38).uniform(-0.7, 0.7, (40, d))
     assert np.array_equal(ens.features(X), fourier_features_reference(X, ens.frequencies.omegas))
 

@@ -47,6 +47,16 @@ def test_nn_edge_cases():
         nn_leverage(1.5, 1e-3)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_closed_forms_reject_non_finite_inputs(bad):
+    for call in (lambda: nn_leverage(bad, 1e-3), lambda: nn_leverage([0.0, bad], 1e-3),
+                 lambda: fourier_leverage(bad, 1e-3), lambda: fourier_leverage([1.0, bad], 1e-3),
+                 lambda: nn_leverage(0.0, abs(bad)), lambda: fourier_leverage(1.0, abs(bad)),
+                 lambda: GridLeverageEstimator(np.linspace(-1, 1, 8), abs(bad))):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_nn_small_lambda_rate():
     # score(0) ~ 1/(2 sqrt(lam)): the scaled value sits within 5% at lam = 1e-8
     for lam in (1e-8, 1e-10):
@@ -120,9 +130,18 @@ def test_oracle_matches_nn_closed_form():
         assert abs(got - want) <= 0.01 * want
 
 
-def _score(estimator, values):
-    """Grid score of one feature column."""
-    return estimator.scores(np.reshape(values, (-1, 1)))[0]
+def _cos(x, w):
+    return np.cos(x * w)
+
+
+def _sin(x, w):
+    return np.sin(x * w)
+
+
+def _families(k=7):
+    """Step, cos and sin features at k parameters each; the step at b = 1 is the zero feature."""
+    b, omega = np.linspace(-1.0, 1.0, k), np.linspace(0.0, 50.0, k)
+    return [(np.greater, b), (_cos, omega), (_sin, omega)]
 
 
 def test_triple_agreement():
@@ -130,54 +149,36 @@ def test_triple_agreement():
     lam = 1e-3
     n = 2048
     estimator = GridLeverageEstimator(np.linspace(-1, 1, n), lam)
-    grid = estimator.grid
     b_grid = np.linspace(-0.9, 0.9, 10)
     nn_closed = nn_leverage(b_grid, lam)
     scale = nn_closed.max()
     nn_oracle = oracle_leverages([lambda x, b=b: (x > b).astype(float) for b in b_grid], lam, n=2049)
-    for b, closed, orc in zip(b_grid, nn_closed, nn_oracle):
-        emp = _score(estimator, (grid > b).astype(float))
+    for closed, orc, emp in zip(nn_closed, nn_oracle, estimator.scores(np.greater, b_grid)):
         assert abs(emp - closed) <= 0.05 * scale
         assert abs(orc - closed) <= 0.05 * scale
     om_grid = np.linspace(0.0, 30.0, 10)
     cos_closed, sin_closed = fourier_leverage(om_grid, lam)
     scale = cos_closed.max()
-    for om, ccl, scl in zip(om_grid, cos_closed, sin_closed):
-        emp_c = _score(estimator, np.cos(om * grid))
-        emp_s = _score(estimator, np.sin(om * grid))
-        assert abs(emp_c - ccl) <= 0.05 * scale
-        assert abs(emp_s - scl) <= 0.05 * scale
+    emp_c, emp_s = estimator.scores(_cos, om_grid), estimator.scores(_sin, om_grid)
+    np.testing.assert_array_less(np.abs(emp_c - cos_closed), 0.05 * scale)
+    np.testing.assert_array_less(np.abs(emp_s - sin_closed), 0.05 * scale)
 
 
 def test_empirical_edge_cases():
-    grid = np.linspace(-1, 1, 64)
-    assert _score(GridLeverageEstimator(grid, 1e-3), np.zeros_like(grid)) == 0.0
+    est = GridLeverageEstimator(np.linspace(-1, 1, 64), 1e-3)
+    assert est.scores(np.greater, np.array([1.0]))[0] == 0.0  # x > 1 is the zero feature
+    assert est.scores(np.greater, np.empty(0)).shape == (0,)
     with pytest.raises(ValueError):
         GridLeverageEstimator(np.array([0.0]), 1e-3)
-    est = GridLeverageEstimator(grid, 1e-3)
-    with pytest.raises(ValueError):
-        _score(est, np.zeros(10))
 
 
 def test_batched_scores_match_single_column_solves():
-    grid = np.linspace(-1, 1, 512)
-    est = GridLeverageEstimator(grid, 1e-3)
-    params = np.linspace(-1.0, 1.0, 23)
-    omegas = np.linspace(0.0, 50.0, 23)
-    columns = ([(grid > b).astype(float) for b in params]
-               + [np.cos(o * grid) for o in omegas]
-               + [np.sin(o * grid) for o in omegas])
-    batched = est.scores(np.column_stack(columns))
-    looped = np.array([_score(est, phi) for phi in columns])
-    assert np.array_equal(batched, looped)
-    assert np.array_equal(est.scores(np.column_stack(columns[::-1])), looped[::-1])
-
-
-def _features(grid, k=7):
-    """Step, cos and sin features at k parameters each, plus the zero feature."""
-    b = np.linspace(-1.0, 1.0, k)
-    phase = grid[:, None] * np.linspace(0.0, 50.0, k)
-    return np.hstack([grid[:, None] > b, np.cos(phase), np.sin(phase), np.zeros((grid.size, 1))])
+    est = GridLeverageEstimator(np.linspace(-1, 1, 512), 1e-3)
+    for feature, params in _families(k=23):
+        batched = est.scores(feature, params)
+        looped = np.array([est.scores(feature, params[j:j + 1])[0] for j in range(params.size)])
+        assert np.array_equal(batched, looped)
+        assert np.array_equal(est.scores(feature, params[::-1]), looped[::-1])
 
 
 @pytest.mark.parametrize("sort", [True, False], ids=["sorted", "unsorted-repeated"])
@@ -190,10 +191,12 @@ def test_chunked_scores_match_single_column_scores(sort):
         grid = np.random.default_rng(9).permutation(grid)
         grid[-1] = grid[0]
     est = GridLeverageEstimator(grid, 1e-3)
-    Phi = _features(grid, k=67)[:, :201]
-    single = np.array([est.scores(Phi[:, j:j + 1])[0] for j in range(201)])
-    for k in (1, c - 1, c, c + 1, 201):
-        assert np.array_equal(est.scores(Phi[:, :k]), single[:k]), k
+    sorted_est = GridLeverageEstimator(np.sort(grid), 1e-3)
+    for feature, params in _families(k=201):
+        single = np.array([est.scores(feature, params[j:j + 1])[0] for j in range(201)])
+        for k in (1, c - 1, c, c + 1, 201):
+            assert np.array_equal(est.scores(feature, params[:k]), single[:k]), k
+        assert np.array_equal(sorted_est.scores(feature, params), single)  # the grid's order is moot
 
 
 def test_profiles_peak_memory_is_far_below_one_feature_array():
@@ -219,10 +222,11 @@ def test_grid_estimator_matches_dense_oracle(n):
     grids = {"sorted": np.linspace(-1, 1, n), "unsorted, one point repeated": shuffled}
     for name, grid in grids.items():
         for lam in (1e-1, 1e-3, 1e-5) if n < 4096 else (1e-3,):
-            Phi = _features(grid)
-            got = GridLeverageEstimator(grid, lam).scores(Phi)
+            est = GridLeverageEstimator(grid, lam)
+            got = np.concatenate([est.scores(f, params) for f, params in _families()])
+            Phi = np.hstack([f(grid[:, None], params[None, :]) for f, params in _families()])
             want = dense_grid_leverage(grid, lam, Phi)
-            assert got[-1] == 0.0
+            assert got[6] == 0.0  # the step at b = 1
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"{name}, lam={lam}")
 
 
@@ -240,31 +244,23 @@ def test_grid_estimator_matches_closed_forms_at_small_lambda(lam):
     # the boundary layer has width ~ sqrt(lam): a 2^16 grid resolves it, a dense Gram would be 32 GiB
     grid = np.linspace(-1, 1, 2 ** 16)
     est = GridLeverageEstimator(grid, lam)
-    got = est.scores(np.column_stack([grid > 0.0, grid > -0.9, np.cos(20.0 * grid)]))
+    got = np.concatenate([est.scores(np.greater, np.array([0.0, -0.9])),
+                          est.scores(_cos, np.array([20.0]))])
     want = [nn_leverage(0.0, lam), nn_leverage(-0.9, lam), fourier_leverage(20.0, lam)[0]]
     np.testing.assert_allclose(got, want, rtol=1e-4, atol=0)
-
-
-def test_batched_scores_reject_bad_shapes():
-    est = GridLeverageEstimator(np.linspace(-1, 1, 64), 1e-3)
-    with pytest.raises(ValueError):
-        est.scores(np.ones((63, 3)))
-    with pytest.raises(ValueError):
-        est.scores(np.ones(64))
 
 
 def test_profiles_match_per_parameter_scores():
     lam = 1e-3
     est = GridLeverageEstimator(np.linspace(-1, 1, 512), lam)
-    grid = est.grid
     prof = nn_profile(lam, n_params=41, estimator=est)
-    per_param = [_score(est, (grid > b).astype(float)) for b in prof.params]
-    assert np.array_equal(prof.empirical, per_param)
+    assert np.array_equal(prof.empirical, [est.scores(np.greater, prof.params[j:j + 1])[0]
+                                           for j in range(41)])
     cos_prof, sin_prof = fourier_profiles(lam, n_params=41, estimator=est)
-    assert np.array_equal(cos_prof.empirical,
-                          [_score(est, np.cos(o * grid)) for o in cos_prof.params])
-    assert np.array_equal(sin_prof.empirical,
-                          [_score(est, np.sin(o * grid)) for o in sin_prof.params])
+    assert np.array_equal(cos_prof.empirical, [est.scores(_cos, cos_prof.params[j:j + 1])[0]
+                                               for j in range(41)])
+    assert np.array_equal(sin_prof.empirical, [est.scores(_sin, sin_prof.params[j:j + 1])[0]
+                                               for j in range(41)])
 
 
 def test_profiles_reject_a_different_lambda():

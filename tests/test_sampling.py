@@ -6,6 +6,7 @@ from splinerf.kernels import KernelSpec
 from splinerf.sampling import (
     RngStream,
     SamplerError,
+    derive_seed,
     sample_fourier_frequencies,
     sample_fourier_taus,
     sample_nn_params,
@@ -19,17 +20,17 @@ def _direction(d, stream):
 
 
 def test_sphere_determinism():
-    s = RngStream(seed=42, draw_index=0)
+    s = RngStream(seed=42)
     a = _direction(2, s)
     b = _direction(2, s)
     assert np.array_equal(a, b)
-    c = _direction(2, s.at(1))
+    c = _direction(2, RngStream(derive_seed(42, 1)))
     assert not np.array_equal(a, c)
 
 
 def test_sphere_unit_norm():
     for d in (1, 2, 5, 8):
-        v = _direction(d, RngStream(3, d))
+        v = _direction(d, RngStream(derive_seed(3, d)))
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
 
 
@@ -87,7 +88,7 @@ def test_tau_scalar_deterministic():
     tau = sample_fourier_taus(1.0, 1, RngStream(9))
     assert tau.shape == (1,)
     assert np.array_equal(tau, sample_fourier_taus(1.0, 1, RngStream(9)))
-    assert not np.array_equal(tau, sample_fourier_taus(1.0, 1, RngStream(9, 1)))
+    assert not np.array_equal(tau, sample_fourier_taus(1.0, 1, RngStream(derive_seed(9, 1))))
     for R in (0.0, -1.0):
         with pytest.raises(ValueError):
             sample_fourier_taus(R, 1, RngStream(9))
@@ -102,6 +103,15 @@ def test_tau_sign_symmetry():
 def test_tau_acceptance_rate_quick():
     _, n_acc = tau_rejection_stats(2.0, 200_000, RngStream(16))
     assert abs(n_acc / 200_000 - 0.5) < 0.02
+
+
+@pytest.mark.parametrize("R", [1e-200, 1e9, 1e200])
+def test_tau_law_holds_at_extreme_radii(R):
+    # the density is a function of u = R tau alone: neither tau^2 nor a cutoff on tau may leak in
+    n = 200_000
+    accepted, n_acc = tau_rejection_stats(R, n, RngStream(1))
+    assert abs(n_acc / n - 0.5) < 4 * np.sqrt(0.25 / n)
+    assert abs(np.median(np.abs(R * accepted)) - 0.854) < 0.01  # as at R = 1
 
 
 def test_rejection_envelope_bound():
@@ -133,6 +143,15 @@ def test_fourier_frequency_d1_symmetry():
     omg = freqs.omegas.ravel()
     stderr = 1.0 / np.sqrt(omg.size)
     assert abs(np.mean(np.sign(omg))) < 4 * stderr
+
+
+def test_fourier_directions_do_not_overlap_the_next_counter_block():
+    # directions come from the stream's own generator, after its taus, and not
+    # from the Philox block 2**64 counters on, where another sampler could start
+    for seed in (0, 7, 123):
+        dirs = sample_fourier_frequencies(3, 1.0, 8, RngStream(seed)).directions
+        g = np.random.Generator(np.random.Philox(key=seed, counter=2 ** 64)).standard_normal((8, 3))
+        assert not np.allclose(dirs, g / np.linalg.norm(g, axis=1)[:, None])
 
 
 def test_fourier_frequency_empty():
@@ -213,5 +232,5 @@ def test_stream_validation():
     with pytest.raises(ValueError):
         RngStream(-1)
     with pytest.raises(ValueError):
-        RngStream(0, -2)
+        RngStream(2 ** 64)
     assert isinstance(SamplerError("x"), RuntimeError)
