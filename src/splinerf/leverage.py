@@ -39,27 +39,22 @@ def _check_lambda(lam: float) -> float:
 def nn_leverage(b, lam: float):
     """Leverage score of the step feature 1_{x > b}, |b| <= 1.
 
-    Exp-scaled evaluation: with c = 1/(2 sqrt(lam)) the raw solution involves
-    cosh(c(1-b)) ~ exp(2c), so the closed form is rewritten in q+ = exp(-c(1-b))
-    and q- = exp(-c(1+b)), which keeps every term finite down to lam ~ 1e-12.
-    The maximal score grows like 1/(2 sqrt(lam)).
+    With c = 1/(2 sqrt(lam)), p = c(1-b)/2 and v = c(1+b)/2 the score is the product
+    4c sinh(p) cosh(v) (c cosh(p) sinh(v) + cosh(c)) / (cosh(c) (c sinh(c) + cosh(c))),
+    written in q+ = exp(-c(1-b)), q- = exp(-c(1+b)) and exp(-2c), with expm1 for
+    each 1 - q: nothing overflows or cancels, so the score holds to ~1e-15 from
+    lam = 1e-8, where it peaks near 1/(2 sqrt(lam)), to lam = 1e300, where it
+    tends to (1-b)/(2 lam).
     """
     lam = _check_lambda(lam)
     b = np.asarray(b, dtype=float)
     if not np.all(np.abs(b) <= 1 + 1e-12):
         raise ValueError("bias must be finite and lie in [-1, 1] (R = 1 normalization)")
     c = 1.0 / (2.0 * np.sqrt(lam))
-    qp = np.exp(-c * (1.0 - b))
-    qm = np.exp(-c * (1.0 + b))
-    p2 = qp * qm
-    theta = 1.0 + p2
-    delta = c * (1.0 - p2) + theta
-    singular = (2.0 * c * qm + c * (c + 1.0) - 2.0 * c * c * qm * qm / theta) / delta \
-        + c / theta
-    regular = (-2.0 * c * qp
-               + (2.0 * c + c * (c - 1.0) * qp) * ((1.0 - p2) - qp + qm) / delta
-               + c * qp * (theta - qp - qm) / theta)
-    score = 0.5 * (singular + regular)
+    qp, qm, q2 = np.exp(-c * (1.0 - b)), np.exp(-c * (1.0 + b)), np.exp(-2.0 * c)
+    score = (-c * np.expm1(-c * (1.0 - b)) * (1.0 + qm)
+             * (2.0 * (1.0 + q2) - c * (1.0 + qp) * np.expm1(-c * (1.0 + b)))
+             / ((1.0 + q2) * (1.0 + q2 - c * np.expm1(-2.0 * c))))
     return float(score) if score.ndim == 0 else score
 
 
@@ -107,14 +102,14 @@ class GridLeverageEstimator:
 
     With u = x + 1 on the sorted grid, K + sI = A + U S U^T for A = (M + 2sI)/2,
     M_ij = min(u_i, u_j), U = [1, x], S = -[[0, 1], [1, 0]]/4, and
-    A^{-1} = 2 D^T (diag(Du) + 2s D D^T)^{-1} D with D the first difference: a
-    tridiagonal factor, a 2x2 Woodbury step, then one refinement step through the
-    O(n) product (K + sI) z.  Features are scored in chunks of c = max(1,
-    SCORE_CHUNK_ENTRIES // n) at a time, each chunk's rows built in sorted grid
-    order just before its solve, so memory beyond the estimator's own n-vectors
-    is O(c n) however many features are scored.  Every reduction runs along one
-    feature's contiguous values, so a score depends neither on the chunk nor on
-    the BLAS thread count.
+    A^{-1} = 2 D^T T^{-1} D, D the first difference, T = diag(Du) + 2s D D^T SPD
+    tridiagonal: LAPACK's LDL^T factor of T (pttrf/pttrs), a 2x2 Woodbury step,
+    then one refinement step through the O(n) product (K + sI) z.  Features are
+    scored in chunks of c = max(1, SCORE_CHUNK_ENTRIES // n) parameters, each
+    chunk's rows built in sorted grid order just before its solve, so memory
+    beyond the estimator's n-vectors is O(c n).  Every reduction runs along one
+    feature's values, so a score depends neither on the chunk nor on the BLAS
+    thread count.  A singular system or a non-finite score raises ValueError.
     """
 
     def __init__(self, grid, lam: float):
@@ -127,20 +122,29 @@ class GridLeverageEstimator:
         if not np.all(np.abs(self._x) <= 1.0):  # outside, 1/2 - |x - y|/4 is not PSD
             raise ValueError("grid points must be finite and lie in [-1, 1]")
         self.lam = lam
+        self._singular = f"the grid system is numerically singular at lambda {lam} and n {n}"
         s = self._s = n * lam
-        band = np.stack([np.full(n, -2.0 * s), np.diff(self._x, prepend=-1.0) + 4.0 * s])
-        band[1, 0] -= 2.0 * s  # D D^T is tridiagonal with diagonal (1, 2, ..., 2)
-        self._band = sla.cholesky_banded(band, check_finite=False)
+        diag = np.diff(self._x, prepend=-1.0) + 4.0 * s
+        diag[0] -= 2.0 * s  # D D^T is tridiagonal with diagonal (1, 2, ..., 2) and off-diagonal -1
+        self._d, self._e, info = sla.lapack.dpttrf(diag, np.full(n - 1, -2.0 * s))
+        if info != 0:
+            raise np.linalg.LinAlgError(f"{self._singular}: its tridiagonal factor failed")
         W = self._solve_a(np.stack([np.ones(n), self._x]))
         # Woodbury: (K+sI)^{-1} b = y - P^T U^T y with y = A^{-1} b, P = (S^{-1} + U^T W^T)^{-T} W
         G = np.stack([np.sum(W, axis=1), np.sum(self._x * W, axis=1)]) - [[0.0, 4.0], [4.0, 0.0]]
-        self._P = np.linalg.solve(G.T, W)
+        try:
+            self._P = np.linalg.solve(G.T, W)
+        except np.linalg.LinAlgError:
+            raise ValueError(self._singular) from None
 
     def _solve_a(self, B):
         """A^{-1} applied to each row of B."""
-        V = sla.cho_solve_banded((self._band, False), np.diff(B, axis=1, prepend=0.0).T,
-                                 overwrite_b=True, check_finite=False).T
-        return -2.0 * np.diff(V, axis=1, append=0.0)
+        W = B.copy()  # D b, then T^{-1} D b in place: W.T is Fortran-ordered for dpttrs
+        W[:, 1:] -= B[:, :-1]
+        V = sla.lapack.dpttrs(self._d, self._e, W.T, overwrite_b=True)[0].T
+        V[:, :-1] -= V[:, 1:]  # 2 D^T v: numpy buffers the overlapping operands
+        V *= 2.0
+        return V
 
     def _solve(self, B):
         """(K + sI)^{-1} applied to each row of B."""
@@ -156,6 +160,7 @@ class GridLeverageEstimator:
         t0, t1 = np.sum(Z, axis=1)[:, None], np.sum(self._x * Z, axis=1)[:, None]
         return 0.5 * MZ + self._s * Z - 0.25 * (t0 * self._x + t1)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a score that overflows raises below
     def scores(self, feature, params) -> np.ndarray:
         """Scores of the features feature(x, p), p in params: (c, n) values from the
         sorted grid x as a (1, n) row and a chunk of c parameters as a (c, 1) column."""
@@ -166,6 +171,8 @@ class GridLeverageEstimator:
             Z = self._solve(B)
             Z += self._solve(B - self._apply(Z))
             out[i:i + step] = np.sum(B * Z, axis=1)
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"{self._singular}: a leverage score is not finite")
         return out
 
 

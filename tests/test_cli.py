@@ -328,6 +328,11 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
      "fig3: regularization lambda must be positive and finite, got inf"),
     (["--experiment", "fig3", "--n", "64", "--lambda", "nan"],
      "fig3: regularization lambda must be positive and finite, got nan"),
+    (["--experiment", "fig3", "--lambda", "1e-300"],
+     "fig3: the grid system is numerically singular at lambda 1e-300 and n 4096: "
+     "a leverage score is not finite"),
+    (["--experiment", "fig3", "--n", "3", "--lambda", "1e-20"],
+     "fig3: the grid system is numerically singular at lambda 1e-20 and n 3"),
     (["--experiment", "fig1", "--radius", "-1"], "fig1: radius must be positive"),
     (["--experiment", "kernel-eval", "--dim", "0"], "kernel-eval: dimension must be >= 1"),
     (["--experiment", "fig1", "--n", "513", "--reps", "1"],
@@ -341,7 +346,8 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
      "feature-sample: radius must be positive and finite"),
     (["--experiment", "feature-sample", "--kind", "fourier", "--radius", "nan"],
      "feature-sample: radius must be positive and finite"),
-], ids=["fig3-n-1", "fig3-lambda-0", "fig3-lambda-inf", "fig3-lambda-nan", "fig1-radius--1",
+], ids=["fig3-n-1", "fig3-lambda-0", "fig3-lambda-inf", "fig3-lambda-nan",
+        "fig3-lambda-1e-300", "fig3-n-3-lambda-1e-20", "fig1-radius--1",
         "kernel-eval-dim-0", "fig1-n-513",
         "kernel-eval-radius-nan", "kernel-eval-radius-inf", "fig2-radius-nan",
         "feature-sample-nn-radius-inf", "feature-sample-fourier-radius-nan"])
@@ -387,6 +393,15 @@ def test_unread_flags_accept_their_default(tmp_path):
                  "--lambda", "0.001", "--out", str(out)]) == 0
     out = tmp_path / "fs.csv"
     assert main(["--experiment", "feature-sample", "--alpha", "0", "--out", str(out)]) == 0
+
+
+def test_fig3_nn_theory_at_huge_lambda(tmp_path):
+    # the closed form once cancelled here: 91 negative theoretical nn scores at lambda = 1e32
+    out = tmp_path / "fig3.csv"
+    assert main(["--experiment", "fig3", "--n", "64", "--lambda", "1e32", "--out", str(out)]) == 0
+    _, _, rows = _read_csv(out)
+    b, theory = np.array([(float(r[1]), float(r[3])) for r in rows if r[0] == "nn"]).T
+    np.testing.assert_allclose(theory, (1.0 - b) / 2e32, rtol=1e-12, atol=0)  # <g, g> / lambda
 
 
 def test_fig3_small_run(tmp_path):

@@ -1,5 +1,7 @@
 import tracemalloc
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from splinerf.leverage import (
 def _naive_nn_score(b, lam):
     """Direct transcription of the closed form, valid while cosh stays small.
 
-    Used to pin the exp-scaled production evaluation against the raw algebra
+    Used to pin the production evaluation against the raw algebra
     in a regime free of overflow and catastrophic cancellation.
     """
     c = 1.0 / (2.0 * np.sqrt(lam))
@@ -36,6 +38,31 @@ def test_nn_matches_raw_transcription():
             stable = nn_leverage(b, lam)
             naive = _naive_nn_score(b, lam)
             assert abs(stable - naive) <= 1e-9 * max(abs(naive), 1.0), (b, lam)
+
+
+def _mp_nn_score(b, lam):
+    """The raw transcription above in mpmath, with enough digits to absorb its
+    cancellation of terms ~ exp(2c) down to a score ~ c or ~ c^2."""
+    c = 1 / (2 * mpmath.sqrt(mpmath.mpf(lam)))
+    with mpmath.workdps(60 + int(c)):
+        b = mpmath.mpf(b)
+        u = c * (1 - b)
+        sh, ch = mpmath.sinh, mpmath.cosh
+        total = (4 * c * sh(u)
+                 + 2 * c * (1 - c * sh(u) - ch(u)) * (sh(c) - sh(c * b)) / (c * sh(c) + ch(c))
+                 - 2 * c * sh(u) * (ch(c) - ch(c * b)) / ch(c))
+        return float(total / 2)
+
+
+@pytest.mark.parametrize("lam", [1e-6, 1e-4, 1e-2, 0.25, 1.0, 1e4, 1e8, 1e16, 1e28, 1e32,
+                                 1e100, 1e300])
+def test_nn_matches_high_precision_evaluation(lam):
+    # a sum of O(c) exp-scaled parts cancels to the O(c^2) score: one was 1.2e-12 off at
+    # b = 0.999999 and lam = 1e-4, 6e-11 at 0.25, 3e-7 at 1e8, negative at 1e32, 0 from 1e34
+    b = np.concatenate([np.linspace(-1.0, 0.95, 40), [-0.999999, 0.99, 0.999999]])
+    want = np.array([_mp_nn_score(bj, lam) for bj in b])
+    np.testing.assert_allclose(nn_leverage(b, lam), want, rtol=1e-12, atol=0)
+    assert nn_leverage(1.0, lam) == 0.0
 
 
 def test_nn_edge_cases():
@@ -228,6 +255,48 @@ def test_grid_estimator_matches_dense_oracle(n):
             want = dense_grid_leverage(grid, lam, Phi)
             assert got[6] == 0.0  # the step at b = 1
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0, err_msg=f"{name}, lam={lam}")
+
+
+def _repeated_grid(n, seed):
+    """Random points in [-1, 1] with both ends and one point repeated."""
+    grid = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    grid[:2] = -1.0, 1.0
+    grid[-1] = grid[n // 2]
+    return grid
+
+
+def test_ldlt_factor_rebuilds_the_tridiagonal_system():
+    n, lam = 40, 1e-3
+    grid = _repeated_grid(n, 5)
+    est = GridLeverageEstimator(grid, lam)
+    x, s = np.sort(grid), n * lam
+    D = np.eye(n) - np.eye(n, k=-1)  # (D b)_0 = b_0, (D b)_i = b_i - b_(i-1)
+    T = np.diag(D @ (x + 1.0)) + 2.0 * s * D @ D.T
+    L = np.eye(n) + np.diag(est._e, k=-1)
+    assert np.all(est._d > 0)
+    np.testing.assert_allclose(L @ np.diag(est._d) @ L.T, T, rtol=0, atol=1e-15 * np.abs(T).max())
+
+
+@pytest.mark.parametrize("n", [2, 3, 97])
+def test_grid_estimator_matches_dense_solve(n):
+    grid = _repeated_grid(n, n) if n > 2 else np.array([-0.3, -0.3])
+    K = 0.5 - 0.25 * np.abs(grid[:, None] - grid[None, :])
+    for lam in (1e-1, 1e-3, 1e-5, 1e4):
+        est = GridLeverageEstimator(grid, lam)
+        for f, params in _families():
+            Phi = f(grid[:, None], params[None, :])
+            want = np.sum(Phi * np.linalg.solve(K + n * lam * np.eye(n), Phi), axis=0)
+            np.testing.assert_allclose(est.scores(f, params), want, rtol=1e-12, atol=0,
+                                       err_msg=f"lam={lam}")
+
+
+@pytest.mark.parametrize("n, lam, feature", [(3, 1e-20, np.greater), (64, 1e-300, _cos)],
+                         ids=["singular-woodbury", "non-finite-score"])
+def test_grid_estimator_raises_instead_of_returning_non_finite_scores(n, lam, feature):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no floating-point warning escapes either
+        with pytest.raises(ValueError, match=rf"lambda {lam} and n {n}"):
+            GridLeverageEstimator(np.linspace(-1, 1, n), lam).scores(feature, np.array([0.0, 3.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1.0 + 1e-12, -1.5])
