@@ -7,7 +7,9 @@ constrained spline solve uses) it is exactly k_pol(Xa, Xb) = M(Xa) C M(Xb)^T,
 with an r x r coefficient matrix C built once per KernelSpec from exact
 sphere moments.  No sampling is involved.  Every evaluator forms |x - y| from
 exact coordinate differences in one helper, so the distance term is exactly 0
-at x = y, and SciPy's spatial module is never imported.
+at x = y, and SciPy's spatial module is never imported.  Cross kernels are
+built a row block at a time by one generator, which regression.predict also
+streams, so a prediction never holds an (n_test, n) matrix.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from itertools import combinations_with_replacement
 from math import comb, factorial, prod
 
 import numpy as np
+from scipy.linalg import blas
 from scipy.special import gammaln
 
 __all__ = [
@@ -61,6 +64,7 @@ class KernelSpec:
             raise ValueError(f"radius must be positive and finite, got {self.R}")
 
 
+@lru_cache(maxsize=32)
 def c_alpha(spec: KernelSpec) -> float:
     """Distance-term coefficient; sign is (-1)^(alpha + 1)."""
     a, d = spec.alpha, spec.d
@@ -121,12 +125,6 @@ def _pol_coefficients(spec: KernelSpec):
     return E, C
 
 
-def _pol_part(Xa, Xb, spec: KernelSpec) -> np.ndarray:
-    """k_pol(Xa[i], Xb[j]) as M(Xa) C M(Xb)^T on the shared monomial basis."""
-    E, C = _pol_coefficients(spec)
-    return monomial_matrix(Xa, E) @ C @ monomial_matrix(Xb, E).T
-
-
 def _as_points(X, d: int, finite: bool = False) -> np.ndarray:
     """Points as an (n, d) float array; empty input must still have d columns."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -173,14 +171,48 @@ def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
     return out
 
 
-def _add_distance_term(out, Xa, Xb, spec: KernelSpec) -> np.ndarray:
-    """out[i, j] += the distance term of Xa[i] and Xb[j], a block of rows at a time."""
-    step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, len(Xb)))
-    block, tmp = np.empty((2, min(step, len(Xa)), len(Xb)))
-    for i in range(0, len(Xa), step):
-        rows = min(step, len(Xa) - i)
-        out[i:i + rows] += _distance_term(Xa[i:i + rows, None, :], Xb[None, :, :], spec,
-                                          block[:rows], tmp[:rows])
+def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = False):
+    """Yield (i, K[i:i + rows]) for the cross kernel of Xa and Xb, about
+    DISTANCE_BLOCK_ENTRIES entries at a time: kernel_matrix's kind "nn" or
+    "pol_only", or "distance" for distance_kernel_matrix; upper as there.
+
+    A block is out[i:i + rows] when out is given, else one buffer that the next
+    block overwrites.  Both matrices and the streamed predictions get their
+    rows from these same calls, so a streamed row is bit-equal to that row of
+    the assembled matrix.
+    """
+    na, nb = len(Xa), len(Xb)
+    step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, nb))
+    buf = np.empty((min(step, na), nb)) if out is None else None
+    if kind != "distance":
+        # each block's F-ordered transpose M(Xb) (C M(Xa)^T)[:, rows], by scipy's BLAS,
+        # the one that factors (see regression's one-pool rule), written in place
+        E, C = _pol_coefficients(spec)
+        Mb = monomial_matrix(Xb, E)
+        CMa = blas.dgemm(1.0, C, monomial_matrix(Xa, E).T)
+    # coordinate-contiguous copies, so each coordinate difference reads contiguous memory
+    A, B = np.ascontiguousarray(Xa.T).T, np.ascontiguousarray(Xb.T).T
+    dist, tmp = np.empty((2, min(step, na) * nb))
+    for i in range(0, na, step):
+        rows = min(step, na - i)
+        block = buf[:rows] if out is None else out[i:i + rows]
+        if kind == "distance" or not nb:  # BLAS rejects an empty output
+            block[...] = 0.0
+        else:
+            blas.dgemm(1.0, Mb.T, CMa[:, i:i + rows], trans_a=True, c=block.T, overwrite_c=True)
+        if kind != "pol_only":
+            j = min(i, nb) if upper else 0
+            shape = (rows, nb - j)
+            block[:, j:] += _distance_term(A[i:i + rows, None, :], B[None, j:, :], spec,
+                                           dist[:rows * (nb - j)].reshape(shape),
+                                           tmp[:rows * (nb - j)].reshape(shape))
+        yield i, block
+
+
+def _assembled(Xa, Xb, spec: KernelSpec, kind: str, upper: bool) -> np.ndarray:
+    out = np.empty((len(Xa), len(Xb)))
+    for _ in _kernel_rows(Xa, Xb, spec, kind, out, upper):
+        pass
     return out
 
 
@@ -215,24 +247,30 @@ def arccos_kernel(x, y, spec: KernelSpec) -> float:
     return float(kernel_pairs(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), spec, "arccos")[0])
 
 
-def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
-    """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind."""
+def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn", upper: bool = False) -> np.ndarray:
+    """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind, C-ordered.
+
+    With upper, the distance term is added only from column i on in a row block
+    starting at row i, which halves its cost for a Gram matrix: the entries with
+    i <= j, the triangle factor_spd reads, are bit-equal to the full matrix's,
+    and the others are not all kernel values.
+    """
     Xa, Xb = _validated(Xa, Xb, spec, kind)
     if kind == "arccos":
         sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
         sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
         return np.asarray(_arccos_from_products(sq_a, sq_b, Xa @ Xb.T, spec))
-    pol = _pol_part(Xa, Xb, spec)
-    return pol if kind == "pol_only" else _add_distance_term(pol, Xa, Xb, spec)
+    return _assembled(Xa, Xb, spec, kind, upper)
 
 
-def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:
+def distance_kernel_matrix(Xa, Xb, spec: KernelSpec, upper: bool = False) -> np.ndarray:
     """Conditionally positive distance kernel c(alpha, d) |x - y|^(2 alpha + 1) / R.
 
-    The distance term of kernel_matrix on its own, exactly 0 where Xa[i] = Xb[j].
+    The distance term of kernel_matrix on its own, exactly 0 where Xa[i] = Xb[j];
+    upper as for kernel_matrix, with 0 in place of the entries it skips.
     """
     Xa, Xb = _as_points(Xa, spec.d), _as_points(Xb, spec.d)
-    return _add_distance_term(np.zeros((len(Xa), len(Xb))), Xa, Xb, spec)
+    return _assembled(Xa, Xb, spec, "distance", upper)
 
 
 @dataclass(frozen=True)

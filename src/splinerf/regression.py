@@ -2,6 +2,14 @@
 
 Every dense solve goes through factor_spd: the constrained spline too, on its
 kernel projected onto the null space of the polynomial constraint.
+
+One BLAS pool before every factor: numpy and scipy each load their own
+OpenBLAS, and a pool's workers keep spinning for about 0.1 s after a call.  On a
+2-vCPU Xeon VM a 2000 x 2000 cho_factor at 2 threads took 55 ms when idle or
+right after a scipy dgemm, and 111 ms right after a numpy matmul.  So the n-sized
+BLAS-3 and LAPACK calls that run before a factor_spd (the kernel's polynomial
+part, the QR of the constraint, the products with K) go through scipy.linalg,
+the library that factors; do not put a numpy matmul in front of a factor.
 """
 
 from __future__ import annotations
@@ -12,7 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .features import FourierFeatureMap, NNFeatureMap
-from .kernels import (KernelSpec, _as_points, distance_kernel_matrix, kernel_matrix,
+from .kernels import (KernelSpec, _as_points, _kernel_rows, distance_kernel_matrix, kernel_matrix,
                       monomial_exponents, monomial_matrix)
 
 __all__ = [
@@ -139,6 +147,14 @@ def factor_spd(K, shift: float = 0.0) -> SPDFactor:
         f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
 
 
+def _symmetric_product(K: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """A B by BLAS dsymm, for the symmetric A with A[i, j] = K[i, j], i <= j, the
+    triangle factor_spd reads, and a vector or an (n, k) matrix B."""
+    if not len(B):
+        return np.zeros(B.shape)  # BLAS's argument check rejects n = 0
+    return sla.blas.dsymm(1.0, K.T, B.reshape(len(B), -1), lower=True).reshape(B.shape)
+
+
 def _targets(y, n: int) -> np.ndarray:
     """Targets as a finite float (n,) vector or (n, k) label matrix; anything else raises."""
     y = np.asarray(y, dtype=float)
@@ -161,10 +177,10 @@ def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> Regression
     X = _as_points(X, spec.d)
     n = X.shape[0]
     y = _targets(y, n)
-    K = kernel_matrix(X, X, spec)
+    K = kernel_matrix(X, X, spec, upper=True)
     factor = factor_spd(K, _shift(cfg, n))
     coeffs = factor.solve(y)
-    residual = float(np.max(np.abs(K @ coeffs - y), initial=0.0))
+    residual = float(np.max(np.abs(_symmetric_product(K, coeffs) - y), initial=0.0))
     return RegressionModel(kind="dual", X=X, spec=spec, dual_coeffs=coeffs,
                            jitter_used=cfg.jitter + factor.escalation, residual=residual)
 
@@ -206,7 +222,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     if n < n_poly:
         raise DegenerateDesignError(
             f"need at least {n_poly} points to pin the degree-{spec.alpha} polynomial block")
-    Q, R = np.linalg.qr(Phi)
+    Q, R = sla.qr(Phi, mode="economic", check_finite=False)
     sv = np.linalg.svd(R, compute_uv=False)  # the singular values of Phi
     if sv[-1] <= n * np.finfo(float).eps * sv[0]:
         raise DegenerateDesignError("monomial design matrix is rank deficient")
@@ -219,13 +235,15 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     resid = np.asarray(y - Phi.astype(np.longdouble) @ nu, dtype=float)
     resid_q = Q.T @ resid
     resid -= Q @ resid_q
-    # K is exactly symmetric, so K.T is its Fortran view, and M = K - [Q1 G] [G Q1]^T
-    # with G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one rank-2r dgemm update over K's memory
-    K = distance_kernel_matrix(X, X, spec)
-    KQ = K @ Q
-    G = KQ - 0.5 * Q @ (Q.T @ KQ + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly))
-    sla.blas.dgemm(-1.0, np.hstack([Q, G]), np.hstack([G, Q]), beta=1.0, c=K.T, trans_b=True,
-                   overwrite_c=True)
+    # K holds the distance kernel for i <= j, the lower triangle of its Fortran view K.T
+    # (below it, 0 or kernel values, so K.max() and K.min() are those of the kernel),
+    # and M = K - Q1 G^T - G Q1^T with G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one
+    # rank-2r dsyr2k update of that triangle, over K's own memory
+    K = distance_kernel_matrix(X, X, spec, upper=True)
+    KQ = _symmetric_product(K, Q)
+    S = sla.blas.dgemm(1.0, Q, KQ, trans_a=True) + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly)
+    G = KQ - 0.5 * sla.blas.dgemm(1.0, Q, S)
+    sla.blas.dsyr2k(-1.0, Q, G, beta=1.0, c=K.T, lower=True, overwrite_c=True)
     factor = factor_spd(K, shift)
     del K
     lam = factor.solve(resid)
@@ -234,7 +252,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     nu += sla.solve_triangular(R, resid_q - KQ.T @ lam)
     model = RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
                             poly_coeffs=nu, jitter_used=cfg.jitter + factor.escalation)
-    del factor  # the training misfit against K itself, without M or its factor alive
+    del factor  # the training misfit against K itself, streamed, without M or its factor alive
     model.residual = float(np.max(np.abs(predict(model, X) - y)))
     return model
 
@@ -246,8 +264,13 @@ def predict(model: RegressionModel, Xtest) -> np.ndarray:
     if model.kind not in ("dual", "constrained_spline"):
         raise ValueError(f"unknown model kind {model.kind!r}")
     Xtest = _as_points(Xtest, model.spec.d, finite=True)
-    if model.kind == "dual":
-        return kernel_matrix(Xtest, model.X, model.spec) @ model.dual_coeffs
-    E = distance_kernel_matrix(Xtest, model.X, model.spec)
-    Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))
-    return E @ model.dual_coeffs + Phi @ model.poly_coeffs
+    # row-streamed: each row block of the cross kernel is multiplied by the
+    # coefficients as soon as it is formed, so no (n_test, n) array exists
+    out = np.empty((len(Xtest),) + model.dual_coeffs.shape[1:])
+    kind = "nn" if model.kind == "dual" else "distance"
+    for i, block in _kernel_rows(Xtest, model.X, model.spec, kind):
+        np.matmul(block, model.dual_coeffs, out=out[i:i + len(block)])
+    if model.kind == "constrained_spline":
+        Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))
+        out += Phi @ model.poly_coeffs
+    return out

@@ -7,8 +7,8 @@ import scipy.linalg as sla
 
 from oracles import saddle_solve
 from splinerf.features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
-from splinerf.kernels import (KernelSpec, distance_kernel_matrix, kernel_matrix, monomial_exponents,
-                              monomial_matrix)
+from splinerf.kernels import (DISTANCE_BLOCK_ENTRIES, KernelSpec, distance_kernel_matrix, kernel_matrix,
+                              monomial_exponents, monomial_matrix)
 from splinerf.regression import (
     JITTER_LADDER,
     DegenerateDesignError,
@@ -303,6 +303,110 @@ def test_constrained_peak_memory_is_about_two_kernel_matrices(d, alpha, n):
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * 8 * n ** 2
+
+
+def _one_shot(model, Xt):
+    """predict's value from the whole (n_test, n) kernel matrix, and that matrix's row
+    products' summands |K[i, j] c[j]| summed (for a rounding bound)."""
+    if model.kind == "dual":
+        K = kernel_matrix(Xt, model.X, model.spec)
+        poly = 0.0
+    else:
+        K = distance_kernel_matrix(Xt, model.X, model.spec)
+        poly = monomial_matrix(Xt, monomial_exponents(model.spec.d, model.spec.alpha)) @ model.poly_coeffs
+    return K, poly, np.abs(K) @ np.abs(model.dual_coeffs)
+
+
+def _fit(kind, X, y, spec):
+    if kind == "dual":
+        return fit_dual(X, y, spec, FitConfig(mode="ridge", mu=1e-3))
+    return fit_constrained_spline(X, y, spec, FitConfig(mode="constrained_spline", mu=1e-3))
+
+
+@pytest.mark.parametrize("k", [None, 3])
+@pytest.mark.parametrize("kind", ["dual", "constrained_spline"])
+@pytest.mark.parametrize("n, n_test", [(300, 250), (37, 2000), (300, 0)])
+def test_streamed_predict_is_the_kernel_matrix_product(kind, k, n, n_test):
+    # predict multiplies each row block of the cross kernel by the coefficients; the
+    # blocks are kernel_matrix's rows bit for bit, with a ragged last block here
+    rng = np.random.default_rng(86)
+    spec = KernelSpec(3, 3, 1.0)
+    X, Xt = rng.uniform(-0.7, 0.7, (n, 3)), rng.uniform(-0.7, 0.7, (n_test, 3))
+    y = rng.standard_normal(n) if k is None else rng.standard_normal((n, k))
+    model = _fit(kind, X, y, spec)
+    step = DISTANCE_BLOCK_ENTRIES // n
+    assert n_test == 0 or n_test % step
+    got = predict(model, Xt)
+    assert got.shape == (n_test,) + y.shape[1:]
+    K, poly, summands = _one_shot(model, Xt)
+    want = np.empty_like(got)
+    for i in range(0, n_test, step):
+        want[i:i + step] = K[i:i + step] @ model.dual_coeffs
+    assert np.array_equal(got, want + poly)
+    # The one-shot product K @ c sums the same terms, but OpenBLAS picks its kernel
+    # by shape and a row's place in its thread range and 4-row group, so its
+    # rounding may differ: by at most 2 n eps sum |K[i, j] c[j]| per row
+    one_shot = K @ model.dual_coeffs + poly
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(got - one_shot) <= 2 * n * eps * summands + 2 * eps * np.abs(one_shot))
+
+
+@pytest.mark.parametrize("kind", ["dual", "constrained_spline"])
+def test_streamed_predict_equals_the_one_shot_product_at_aligned_sizes(kind):
+    # n = 1000 gives 32-row blocks and a ragged last block of 16 rows.  At these sizes
+    # OpenBLAS's gemv rounds each row of a block as it does in the whole matrix
+    # (checked at 1 to 4 threads), as at the fit's n = 2000 training residual
+    # (test_constrained_ill_conditioned_saddle_case); at other shapes it may not, and
+    # the test above bounds the difference
+    rng = np.random.default_rng(87)
+    spec = KernelSpec(3, 3, 1.0)
+    X, Xt = rng.uniform(-0.7, 0.7, (1000, 3)), rng.uniform(-0.7, 0.7, (2000, 3))
+    model = _fit(kind, X, rng.standard_normal(1000), spec)
+    K, poly, _ = _one_shot(model, Xt)
+    assert np.array_equal(predict(model, Xt), K @ model.dual_coeffs + poly)
+
+
+@pytest.mark.parametrize("d, alpha", [(1, 0), (2, 1), (3, 3)])
+def test_fit_dual_solves_the_kernel_matrix_bit_for_bit(d, alpha):
+    # fit_dual assembles the distance term on and above the diagonal only (three row
+    # blocks here, the last one ragged), and those entries are kernel_matrix's
+    rng = np.random.default_rng(88 + d)
+    spec = KernelSpec(alpha, d, 1.0)
+    n = 300
+    X = rng.uniform(-0.7, 0.7, (n, d))
+    for y, mu in [(rng.standard_normal(n), 1e-3), (rng.standard_normal((n, 2)), 1e-2)]:
+        model = fit_dual(X, y, spec, FitConfig(mode="ridge", mu=mu))
+        want = factor_spd(kernel_matrix(X, X, spec), n * mu).solve(y)
+        assert np.array_equal(model.dual_coeffs, want)
+
+
+def test_fits_and_streamed_predict_peak_memory():
+    # the fits keep about two n x n arrays (the Gram and its factor) alive, predict none
+    rng = np.random.default_rng(89)
+    spec = KernelSpec(3, 3, 1.0)
+    n, n_test = 1000, 2000
+    X, Xt = rng.uniform(-0.7, 0.7, (n, 3)), rng.uniform(-0.7, 0.7, (n_test, 3))
+    y = rng.standard_normal(n)
+    for kind in ("dual", "constrained_spline"):
+        predict(_fit(kind, X[:40], y[:40], spec), Xt[:5])  # warm every cache outside the window
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            result = fn()
+            return tracemalloc.get_traced_memory()[1], result
+        finally:
+            tracemalloc.stop()
+
+    for kind in ("dual", "constrained_spline"):
+        fit_peak, model = peak(lambda: _fit(kind, X, y, spec))
+        assert fit_peak <= 2.1 * n ** 2 * 8, kind
+        predict_peak, _ = peak(lambda: predict(model, Xt))
+        assert predict_peak < n_test * n * 8 / 4, kind
+    for K in (kernel_matrix(Xt, X, spec), kernel_matrix(X, X, spec, kind="pol_only"),
+              distance_kernel_matrix(Xt, X, spec)):
+        assert K.flags.c_contiguous
 
 
 def test_constrained_degenerate_design():
