@@ -49,7 +49,7 @@ class NNFeatureMap:
 
     def features(self, X) -> np.ndarray:
         """Entries (w_j . x_i + b_j)_+^alpha; for alpha = 0 a strict step (0 at 0)."""
-        pre = _as_points(X, self.spec.d, finite=True) @ self.params.directions.T
+        pre = _as_points(X, self.spec.d) @ self.params.directions.T
         pre += self.params.biases
         if self.spec.alpha == 0:
             return np.greater(pre, 0.0, out=pre)
@@ -103,7 +103,7 @@ class FourierFeatureMap:
 
     def features(self, X) -> np.ndarray:
         """Columns cos(omega_j . x), then sin(omega_j . x), one per frequency."""
-        X = _as_points(X, self.spec.d, finite=True)
+        X = _as_points(X, self.spec.d)
         out = np.empty((len(X), 2 * self.m))
         phase = np.matmul(X, self.frequencies.omegas.T, out=out[:, self.m:])
         np.cos(phase, out=out[:, :self.m])

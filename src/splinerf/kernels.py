@@ -60,8 +60,12 @@ class KernelSpec:
             raise ValueError(f"alpha must be a natural number, got {self.alpha}")
         if self.d < 1:
             raise ValueError(f"dimension must be >= 1, got {self.d}")
-        if not 0 < self.R < np.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.R}")
+        _check_radius(self.R)
+
+
+def _check_radius(R: float) -> None:
+    if not 0 < R < np.inf:
+        raise ValueError(f"radius must be positive and finite, got {R}")
 
 
 @lru_cache(maxsize=32)
@@ -125,12 +129,12 @@ def _pol_coefficients(spec: KernelSpec):
     return E, C
 
 
-def _as_points(X, d: int, finite: bool = False) -> np.ndarray:
-    """Points as an (n, d) float array; empty input must still have d columns."""
+def _as_points(X, d: int) -> np.ndarray:
+    """Points as a finite (n, d) float array; empty input must still have d columns."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.ndim != 2 or X.shape[1] != d:
         raise ValueError(f"points have shape {X.shape}, expected (n, {d})")
-    if finite and not np.isfinite(X).all():
+    if not np.isfinite(X).all():
         raise ValueError("points must be finite")
     return X
 
@@ -174,7 +178,7 @@ def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
 def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = False):
     """Yield (i, K[i:i + rows]) for the cross kernel of Xa and Xb, about
     DISTANCE_BLOCK_ENTRIES entries at a time: kernel_matrix's kind "nn" or
-    "pol_only", or "distance" for distance_kernel_matrix; upper as there.
+    "pol_only", or "distance" for distance_kernel_matrix; upper as for _gram.
 
     A block is out[i:i + rows] when out is given, else one buffer that the next
     block overwrites.  Both matrices and the streamed predictions get their
@@ -209,11 +213,19 @@ def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = Fa
         yield i, block
 
 
-def _assembled(Xa, Xb, spec: KernelSpec, kind: str, upper: bool) -> np.ndarray:
+def _assembled(Xa, Xb, spec: KernelSpec, kind: str, upper: bool = False) -> np.ndarray:
     out = np.empty((len(Xa), len(Xb)))
     for _ in _kernel_rows(Xa, Xb, spec, kind, out, upper):
         pass
     return out
+
+
+def _gram(X, spec: KernelSpec, kind: str) -> np.ndarray:
+    """Gram matrix of validated points X, kind "nn" or "distance": bit-equal to kernel_matrix(X, X)
+    or distance_kernel_matrix(X, X) on i <= j, the triangle factor_spd reads.  The row block from
+    row i gets its distance term from column i on only, at half the cost, so an entry below the
+    diagonal is a kernel value or the polynomial part alone (0 for "distance")."""
+    return _assembled(X, X, spec, kind, upper=True)
 
 
 def _validated(Xa, Xb, spec: KernelSpec, kind: str):
@@ -247,30 +259,21 @@ def arccos_kernel(x, y, spec: KernelSpec) -> float:
     return float(kernel_pairs(np.reshape(x, (1, -1)), np.reshape(y, (1, -1)), spec, "arccos")[0])
 
 
-def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn", upper: bool = False) -> np.ndarray:
-    """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind, C-ordered.
-
-    With upper, the distance term is added only from column i on in a row block
-    starting at row i, which halves its cost for a Gram matrix: the entries with
-    i <= j, the triangle factor_spd reads, are bit-equal to the full matrix's,
-    and the others are not all kernel values.
-    """
+def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
+    """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind, C-ordered."""
     Xa, Xb = _validated(Xa, Xb, spec, kind)
     if kind == "arccos":
         sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
         sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
         return np.asarray(_arccos_from_products(sq_a, sq_b, Xa @ Xb.T, spec))
-    return _assembled(Xa, Xb, spec, kind, upper)
+    return _assembled(Xa, Xb, spec, kind)
 
 
-def distance_kernel_matrix(Xa, Xb, spec: KernelSpec, upper: bool = False) -> np.ndarray:
-    """Conditionally positive distance kernel c(alpha, d) |x - y|^(2 alpha + 1) / R.
-
-    The distance term of kernel_matrix on its own, exactly 0 where Xa[i] = Xb[j];
-    upper as for kernel_matrix, with 0 in place of the entries it skips.
-    """
+def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:
+    """Conditionally positive distance kernel c(alpha, d) |x - y|^(2 alpha + 1) / R: the
+    distance term of kernel_matrix on its own, exactly 0 where Xa[i] = Xb[j]."""
     Xa, Xb = _as_points(Xa, spec.d), _as_points(Xb, spec.d)
-    return _assembled(Xa, Xb, spec, "distance", upper)
+    return _assembled(Xa, Xb, spec, "distance")
 
 
 @dataclass(frozen=True)
@@ -293,11 +296,12 @@ class Derivative1DProfile:
             raise ValueError("boundary derivative lists must have equal length")
 
 
-def make_profile(derivatives, R: float, n: int = 8193) -> Derivative1DProfile:
-    """Build a profile from callables [f, f', ..., f^(alpha+1)] on [-R, R]."""
+def make_profile(derivatives, R: float) -> Derivative1DProfile:
+    """Profile of callables [f, f', ..., f^(alpha+1)] on [-R, R], f^(alpha+1) at 8193 nodes."""
+    _check_radius(R)
     if len(derivatives) < 2:
         raise ValueError("need at least f and f' to build a profile")
-    grid = np.linspace(-R, R, n)
+    grid = np.linspace(-R, R, 8193)
     low = np.array([float(f(-R)) for f in derivatives[:-1]])
     high = np.array([float(f(R)) for f in derivatives[:-1]])
     top = np.asarray(derivatives[-1](grid), dtype=float)
@@ -316,6 +320,7 @@ def rkhs_norm_1d(profile: Derivative1DProfile, alpha: int, R: float) -> float:
     slack; with these coefficients the squared norm of a kernel section
     k(., y) equals k(y, y).
     """
+    _check_radius(R)
     if alpha not in (0, 1):
         raise UnsupportedOrderError(
             f"explicit boundary quadratic form only known for alpha <= 1, got {alpha}")

@@ -193,18 +193,17 @@ def _estimator_lambda(lam: float, estimator: GridLeverageEstimator) -> float:
     return estimator.lam
 
 
-def nn_profile(lam: float, estimator: GridLeverageEstimator, n_params: int = 201) -> LeverageProfile:
-    """NN leverage profile over b in [-1, 1]."""
+def nn_profile(lam: float, estimator: GridLeverageEstimator) -> LeverageProfile:
+    """NN leverage profile at 201 equispaced b in [-1, 1]."""
     lam = _estimator_lambda(lam, estimator)
-    params = np.linspace(-1.0, 1.0, n_params)
+    params = np.linspace(-1.0, 1.0, 201)
     return LeverageProfile("nn", params, nn_leverage(params, lam), estimator.scores(np.greater, params))
 
 
-def fourier_profiles(lam: float, estimator: GridLeverageEstimator, n_params: int = 201,
-                     omega_max: float = 50.0):
-    """Fourier cos/sin leverage profiles over omega in [0, omega_max]."""
+def fourier_profiles(lam: float, estimator: GridLeverageEstimator):
+    """Fourier cos/sin leverage profiles at 201 equispaced omega in [0, 50]."""
     lam = _estimator_lambda(lam, estimator)
-    params = np.linspace(0.0, omega_max, n_params)
+    params = np.linspace(0.0, 50.0, 201)
     cos_scores, sin_scores = fourier_leverage(params, lam)
     return (LeverageProfile("fourier-cos", params, cos_scores,
                             estimator.scores(lambda x, w: np.cos(x * w), params)),

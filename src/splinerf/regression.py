@@ -20,8 +20,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .features import FourierFeatureMap, NNFeatureMap
-from .kernels import (KernelSpec, _as_points, _kernel_rows, distance_kernel_matrix, kernel_matrix,
-                      monomial_exponents, monomial_matrix)
+from .kernels import KernelSpec, _as_points, _gram, _kernel_rows, monomial_exponents, monomial_matrix
 
 __all__ = [
     "IllConditionedError",
@@ -155,14 +154,15 @@ def _symmetric_product(K: np.ndarray, B: np.ndarray) -> np.ndarray:
     return sla.blas.dsymm(1.0, K.T, B.reshape(len(B), -1), lower=True).reshape(B.shape)
 
 
-def _targets(y, n: int) -> np.ndarray:
-    """Targets as a finite float (n,) vector or (n, k) label matrix; anything else raises."""
-    y = np.asarray(y, dtype=float)
+def _training_data(X, y, d: int):
+    """Points by _as_points, and targets as a finite float (n,) vector or (n, k) label matrix."""
+    X = _as_points(X, d)
+    y, n = np.asarray(y, dtype=float), len(X)
     if y.ndim not in (1, 2) or y.shape[0] != n:
         raise ValueError(f"targets must have shape ({n},) or ({n}, k), got {y.shape}")
     if not np.isfinite(y).all():
         raise ValueError("targets must be finite")
-    return y
+    return X, y
 
 
 def _shift(cfg: FitConfig, n: int) -> float:
@@ -174,10 +174,9 @@ def _shift(cfg: FitConfig, n: int) -> float:
 
 def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> RegressionModel:
     """Kernel-space solve: lambda = (K + (n mu + jitter) I)^{-1} y."""
-    X = _as_points(X, spec.d)
+    X, y = _training_data(X, y, spec.d)
     n = X.shape[0]
-    y = _targets(y, n)
-    K = kernel_matrix(X, X, spec, upper=True)
+    K = _gram(X, spec, "nn")
     factor = factor_spd(K, _shift(cfg, n))
     coeffs = factor.solve(y)
     residual = float(np.max(np.abs(_symmetric_product(K, coeffs) - y), initial=0.0))
@@ -192,9 +191,8 @@ def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig 
     system on K_hat, so predictions coincide with a dual solve on the
     approximate kernel.
     """
-    X = _as_points(X, ensemble.spec.d)
+    X, y = _training_data(X, y, ensemble.spec.d)
     n = X.shape[0]
-    y = _targets(y, n)
     F = ensemble.features(X)
     K_hat = ensemble.scaling * (F @ F.T)
     factor = factor_spd(K_hat, _shift(cfg, n))
@@ -214,9 +212,8 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     range(Phi), and factor_spd factors it; lambda = (M + s I)^{-1} P y and
     R nu = Q1^T (y - K lambda).
     """
-    X = _as_points(X, spec.d)
+    X, y = _training_data(X, y, spec.d)
     n = X.shape[0]
-    y = _targets(y, n)
     Phi = monomial_matrix(X, monomial_exponents(spec.d, spec.alpha))
     n_poly = Phi.shape[1]
     if n < n_poly:
@@ -235,11 +232,10 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     resid = np.asarray(y - Phi.astype(np.longdouble) @ nu, dtype=float)
     resid_q = Q.T @ resid
     resid -= Q @ resid_q
-    # K holds the distance kernel for i <= j, the lower triangle of its Fortran view K.T
-    # (below it, 0 or kernel values, so K.max() and K.min() are those of the kernel),
-    # and M = K - Q1 G^T - G Q1^T with G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one
-    # rank-2r dsyr2k update of that triangle, over K's own memory
-    K = distance_kernel_matrix(X, X, spec, upper=True)
+    # _gram's K has the kernel's K.max() and K.min(), and M = K - Q1 G^T - G Q1^T with
+    # G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one rank-2r dsyr2k update of its triangle
+    # i <= j, the lower triangle of its Fortran view K.T, over K's own memory
+    K = _gram(X, spec, "distance")
     KQ = _symmetric_product(K, Q)
     S = sla.blas.dgemm(1.0, Q, KQ, trans_a=True) + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly)
     G = KQ - 0.5 * sla.blas.dgemm(1.0, Q, S)
@@ -263,7 +259,7 @@ def predict(model: RegressionModel, Xtest) -> np.ndarray:
         return model.ensemble.features(Xtest) @ model.feature_weights  # the map validates Xtest
     if model.kind not in ("dual", "constrained_spline"):
         raise ValueError(f"unknown model kind {model.kind!r}")
-    Xtest = _as_points(Xtest, model.spec.d, finite=True)
+    Xtest = _as_points(Xtest, model.spec.d)
     # row-streamed: each row block of the cross kernel is multiplied by the
     # coefficients as soon as it is formed, so no (n_test, n) array exists
     out = np.empty((len(Xtest),) + model.dual_coeffs.shape[1:])

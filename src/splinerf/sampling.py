@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .kernels import _check_radius
+
 __all__ = [
     "SamplerError",
     "RngStream",
@@ -109,8 +111,7 @@ def sample_nn_params(d: int, R: float, m: int, stream: RngStream) -> NNParams:
     """Draw m i.i.d. pairs: direction uniform on the sphere, bias uniform on [-R, R]."""
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
-    if not 0 < R < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {R}")
+    _check_radius(R)
     if m < 0:
         raise ValueError(f"ensemble size must be non-negative, got {m}")
     rng = stream.generator()
@@ -121,6 +122,7 @@ def sample_nn_params(d: int, R: float, m: int, stream: RngStream) -> NNParams:
 
 def tau_density(tau, R: float):
     """Frequency magnitude density sin^2(R tau) / (pi R tau^2) = R/pi (sin u / u)^2, u = R tau."""
+    _check_radius(R)
     u = R * np.asarray(tau, dtype=float)
     out = np.ones(u.shape)
     nz = np.abs(u) >= 1e-8
@@ -142,8 +144,7 @@ def _rejection_round(R: float, k: int, rng: np.random.Generator):
 
 def _taus(R: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m frequency magnitudes from rng by vectorised rejection rounds."""
-    if not 0 < R < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {R}")
+    _check_radius(R)
     if m < 0:
         raise ValueError(f"sample count must be non-negative, got {m}")
     chunks = []
@@ -173,8 +174,7 @@ def tau_rejection_stats(R: float, n_proposals: int, stream: RngStream):
     Returns (accepted_samples, n_accepted); the expected acceptance rate is
     1 / REJECTION_ENVELOPE = 0.5.
     """
-    if not 0 < R < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {R}")
+    _check_radius(R)
     rng = stream.generator()
     accepted = _rejection_round(R, int(n_proposals), rng)
     return accepted, accepted.size

@@ -27,6 +27,7 @@ from splinerf.kernels import (
     monomial_matrix,
     rkhs_norm_1d,
     _distance_term,
+    _gram,
 )
 from splinerf.sampling import RngStream
 
@@ -489,6 +490,46 @@ def test_kernel_pairs_arccos_match_kernel_matrix(alpha, d):
     want = np.diag(kernel_matrix(Xa, Xb, spec, kind="arccos"))
     got = kernel_pairs(Xa, Xb, spec, "arccos")
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+_SPEC_1_2 = KernelSpec(1, 2)
+_BUILDERS = {
+    "distance_kernel_matrix": lambda A, B: distance_kernel_matrix(A, B, _SPEC_1_2),
+    "kd": lambda A, B: kd(A[1], B[1], _SPEC_1_2),
+    "arccos_kernel": lambda A, B: arccos_kernel(A[1], B[1], _SPEC_1_2),
+    **{f"kernel_matrix-{kind}": lambda A, B, kind=kind: kernel_matrix(A, B, _SPEC_1_2, kind)
+       for kind in ("nn", "arccos", "pol_only")},
+    **{f"kernel_pairs-{kind}": lambda A, B, kind=kind: kernel_pairs(A, B, _SPEC_1_2, kind)
+       for kind in ("nn", "arccos", "pol_only")},
+}
+
+
+@pytest.mark.parametrize("builder", _BUILDERS)
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_kernel_builders_reject_non_finite_points(bad, side, builder):
+    # raise, rather than return NaN or inf entries with only a RuntimeWarning
+    A, B = np.random.default_rng(131).uniform(-0.5, 0.5, (2, 3, 2))
+    (A, B)[side][1, 0] = bad
+    with pytest.raises(ValueError, match="points must be finite"):
+        _BUILDERS[builder](A, B)
+
+
+@pytest.mark.parametrize("d", [1, 3])
+@pytest.mark.parametrize("kind, alpha", [("nn", 0), ("nn", 3), ("distance", 0), ("distance", 3)])
+def test_gram_triangle_is_the_full_matrix(kind, alpha, d):
+    # n = 300 makes three row blocks, the last one ragged; fit_dual and
+    # fit_constrained_spline factor the triangle i <= j and take max|K| of the distance Gram
+    spec = KernelSpec(alpha, d, 1.0)
+    X = np.random.default_rng(140 + d).uniform(-0.7, 0.7, (300, d))
+    G = _gram(X, spec, kind)
+    if kind == "nn":
+        full, partial = kernel_matrix(X, X, spec), kernel_matrix(X, X, spec, kind="pol_only")
+    else:
+        full, partial = distance_kernel_matrix(X, X, spec), np.zeros((300, 300))
+    upper, lower = np.triu_indices(300), np.tril_indices(300, -1)
+    assert np.array_equal(G[upper], full[upper])
+    assert np.all((G[lower] == full[lower]) | (G[lower] == partial[lower]))
 
 
 @pytest.mark.parametrize("kind", ["nn", "arccos", "pol_only"])

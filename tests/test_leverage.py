@@ -322,14 +322,14 @@ def test_grid_estimator_matches_closed_forms_at_small_lambda(lam):
 def test_profiles_match_per_parameter_scores():
     lam = 1e-3
     est = GridLeverageEstimator(np.linspace(-1, 1, 512), lam)
-    prof = nn_profile(lam, n_params=41, estimator=est)
+    prof = nn_profile(lam, estimator=est)
     assert np.array_equal(prof.empirical, [est.scores(np.greater, prof.params[j:j + 1])[0]
-                                           for j in range(41)])
-    cos_prof, sin_prof = fourier_profiles(lam, n_params=41, estimator=est)
+                                           for j in range(201)])
+    cos_prof, sin_prof = fourier_profiles(lam, estimator=est)
     assert np.array_equal(cos_prof.empirical, [est.scores(_cos, cos_prof.params[j:j + 1])[0]
-                                               for j in range(41)])
+                                               for j in range(201)])
     assert np.array_equal(sin_prof.empirical, [est.scores(_sin, sin_prof.params[j:j + 1])[0]
-                                               for j in range(41)])
+                                               for j in range(201)])
 
 
 def test_profiles_reject_a_different_lambda():
@@ -343,10 +343,13 @@ def test_profiles_reject_a_different_lambda():
 
 def test_profile_shapes_and_positivity():
     est = GridLeverageEstimator(np.linspace(-1, 1, 256), 1e-2)
-    prof = nn_profile(1e-2, estimator=est, n_params=31)
-    assert prof.params.size == prof.analytic.size == prof.empirical.size == 31
+    prof = nn_profile(1e-2, estimator=est)
+    assert prof.params.size == prof.analytic.size == prof.empirical.size == 201
+    assert prof.params[0] == -1.0 and prof.params[-1] == 1.0
     assert np.all(prof.analytic >= 0) and np.all(prof.empirical >= -1e-12)
-    cos_prof, sin_prof = fourier_profiles(1e-2, estimator=est, n_params=17, omega_max=20.0)
+    cos_prof, sin_prof = fourier_profiles(1e-2, estimator=est)
+    assert cos_prof.params.size == sin_prof.params.size == 201
+    assert cos_prof.params[0] == 0.0 and cos_prof.params[-1] == 50.0
     assert cos_prof.method == "fourier-cos" and sin_prof.method == "fourier-sin"
     assert np.all(cos_prof.analytic >= 0) and np.all(sin_prof.analytic >= 0)
 

@@ -439,6 +439,16 @@ def test_dual_and_spline_predict_at_non_finite_point_rejected(bad):
             predict(model, np.array([[0.1], [bad]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_fits_at_non_finite_point_rejected(bad):
+    # match the message: factor_spd's non-finite matrix and numpy's failed SVD are ValueErrors too
+    X = np.linspace(-0.5, 0.5, 6)[:, None]
+    X[2, 0] = bad
+    for fit in (fit_dual, fit_constrained_spline):
+        with pytest.raises(ValueError, match="points must be finite"):
+            fit(X, np.ones(6), KernelSpec(1, 1, 1.0))
+
+
 def test_monomial_basis():
     exps = monomial_exponents(2, 2)
     assert len(exps) == 6

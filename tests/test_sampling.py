@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from oracles import sphere_moment
-from splinerf.kernels import KernelSpec
+from splinerf.kernels import KernelSpec, make_profile, rkhs_norm_1d
 from splinerf.sampling import (
     RngStream,
     SamplerError,
@@ -77,9 +77,13 @@ def test_nn_params_invalid_radius():
 
 @pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
 def test_radius_must_be_positive_and_finite(R):
+    # the kernel section k(., 0) for alpha = 0 on [-1, 1]; its squared norm is 1/2
+    section = [lambda t: 0.5 - np.abs(np.asarray(t)) / 4, lambda t: -np.sign(np.asarray(t)) / 4]
+    prof = make_profile(section, 1.0)
     for make in (lambda: KernelSpec(0, 1, R), lambda: sample_nn_params(1, R, 5, RngStream(0)),
                  lambda: sample_fourier_taus(R, 5, RngStream(0)),
-                 lambda: tau_rejection_stats(R, 5, RngStream(0))):
+                 lambda: tau_rejection_stats(R, 5, RngStream(0)), lambda: tau_density(0.5, R),
+                 lambda: make_profile(section, R), lambda: rkhs_norm_1d(prof, 0, R)):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
             make()
 
