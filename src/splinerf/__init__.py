@@ -41,14 +41,10 @@ from .regression import (
     predict,
 )
 from .sampling import (
-    FourierFrequencies,
-    NNParams,
     RngStream,
     SamplerError,
     derive_seed,
-    sample_fourier_frequencies,
     sample_fourier_taus,
-    sample_nn_params,
     tau_density,
     tau_rejection_stats,
 )

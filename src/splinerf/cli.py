@@ -18,7 +18,7 @@ from .features import sample_fourier_ensemble, sample_nn_ensemble
 from .kernels import KernelSpec, kernel_pairs
 from .leverage import GridLeverageEstimator, fourier_profiles, nn_profile
 from .regression import FitConfig, fit_dual, fit_primal, predict
-from .sampling import RngStream, SamplerError, derive_seed, sample_fourier_frequencies, sample_nn_params
+from .sampling import RngStream, SamplerError, derive_seed
 
 __all__ = ["main"]
 
@@ -111,7 +111,6 @@ def run_fig2(args: argparse.Namespace) -> None:
     spec = KernelSpec(0, 1, args.radius)
     n = args.n
     test = np.linspace(-args.radius, args.radius, GRID_POINTS)[:, None]
-    step = 2 * args.radius / (GRID_POINTS - 1)  # the spacing of test, as linspace computes it
     # The interpolation operator K_test (K + jI)^{-1}, one row per test point, is
     # the prediction at the test points of a fit to the n unit labels.  Both feature
     # fits are applied on the test grid by grid_apply, without any test features.
@@ -126,7 +125,7 @@ def run_fig2(args: argparse.Namespace) -> None:
             f_ens = sample_fourier_ensemble(spec, m, RngStream(derive_seed(args.seed, "fig2-fourier", rep, m)))
             for method, ens in (("nn", nn_ens), ("fourier", f_ens)):
                 weights = fit_primal(X, labels, ens, fit_cfg).feature_weights
-                approx = ens.grid_apply(weights, -args.radius, step, GRID_POINTS)
+                approx = ens.grid_apply(weights, GRID_POINTS)
                 err = float(np.sum(np.square(exact - approx)))  # numpy's sum, not a threaded BLAS dot
                 rows.append((m, rep, method, err))
     metadata = [("experiment", "fig2"), ("alpha", spec.alpha), ("radius", args.radius),
@@ -206,19 +205,16 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
 def run_feature_sample(args: argparse.Namespace) -> None:
     """Emit sampled feature parameters for scripting."""
     d, m = args.dim, args.m
+    spec = KernelSpec(0, d, args.radius)
     stream = RngStream(derive_seed(args.seed, "feature-sample", args.kind))
-    rows = []
     if args.kind == "nn":
-        params = sample_nn_params(d, args.radius, m, stream)
+        ens = sample_nn_ensemble(spec, m, stream)
         header = ["index", "bias"] + [f"w{i+1}" for i in range(d)]
-        for j in range(m):
-            rows.append((j, params.biases[j], *params.directions[j]))
+        rows = [(j, ens.biases[j], *ens.directions[j]) for j in range(m)]
     else:
-        freqs = sample_fourier_frequencies(d, args.radius, m, stream)
-        omegas = freqs.omegas
+        ens = sample_fourier_ensemble(spec, m, stream)
         header = ["index", "tau"] + [f"omega{i+1}" for i in range(d)]
-        for j in range(m):
-            rows.append((j, freqs.taus[j], *omegas[j]))
+        rows = [(j, ens.taus[j], *ens.omegas[j]) for j in range(m)]
     metadata = [("experiment", "feature-sample"), ("kind", args.kind), ("dim", d),
                 ("radius", args.radius), ("m", m), ("seed", args.seed)]
     _write_csv(args.out, metadata, header, rows)

@@ -11,13 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import KernelSpec, UnsupportedOrderError, _as_points
-from .sampling import (
-    FourierFrequencies,
-    NNParams,
-    RngStream,
-    sample_fourier_frequencies,
-    sample_nn_params,
-)
+from .sampling import RngStream, _taus, _unit_rows
 
 __all__ = [
     "NNFeatureMap",
@@ -33,15 +27,15 @@ class NNFeatureMap:
     """Power-ReLU network features (w_j . x + b_j)_+^alpha, scaling 1/m."""
 
     spec: KernelSpec
-    params: NNParams
+    directions: np.ndarray  # (m, d), unit rows w_j
+    biases: np.ndarray      # (m,), b_j in [-R, R]
 
     def __post_init__(self):
-        if len(self.params) < 1:
-            raise ValueError("nn feature map requires at least one parameter pair")
+        _check_parameters(self.spec, self.biases, self.directions)
 
     @property
     def m(self) -> int:
-        return len(self.params)
+        return len(self.biases)
 
     @property
     def scaling(self) -> float:
@@ -49,22 +43,22 @@ class NNFeatureMap:
 
     def features(self, X) -> np.ndarray:
         """Entries (w_j . x_i + b_j)_+^alpha; for alpha = 0 a strict step (0 at 0)."""
-        pre = _as_points(X, self.spec.d) @ self.params.directions.T
-        pre += self.params.biases
+        pre = _as_points(X, self.spec.d) @ self.directions.T
+        pre += self.biases
         if self.spec.alpha == 0:
             return np.greater(pre, 0.0, out=pre)
         np.maximum(pre, 0.0, out=pre)
         return np.power(pre, self.spec.alpha, out=pre)
 
-    def grid_apply(self, weights, start: float, step: float, n: int) -> np.ndarray:
-        """features(start + step * k for k < n) @ weights, for d = 1 and alpha = 0 only.
+    def grid_apply(self, weights, n: int) -> np.ndarray:
+        """features(-R + k step for k < n) @ weights, step = 2R / (n - 1), for d = 1 and alpha = 0 only.
 
         With w_j = +-1 exactly, fl(w_j t + b_j) > 0 exactly when -b_j < w_j t, so the
         features of one sign on at t are a prefix of them in -b order (searchsorted):
         f(t) is two prefix sums of the weights, O(m log m + (n + m) k), no (n, m) array.
         """
-        weights = _check_grid(self.spec, self.m, weights, start, step, n)
-        w, b = self.params.directions[:, 0], self.params.biases
+        weights, start, step = _check_grid(self.spec, self.m, weights, n)
+        w, b = self.directions[:, 0], self.biases
         if not np.all(np.abs(w) == 1.0):
             raise ValueError("grid_apply needs every direction to be exactly +1 or -1")
         order = np.argsort(-b, kind="stable")  # every feature, in threshold order
@@ -84,18 +78,23 @@ class FourierFeatureMap:
     """
 
     spec: KernelSpec
-    frequencies: FourierFrequencies
+    taus: np.ndarray        # (m,), frequency magnitudes
+    directions: np.ndarray  # (m, d), unit rows w_j
 
     def __post_init__(self):
         if self.spec.alpha != 0:
             raise UnsupportedOrderError(
                 f"fourier features are derived for alpha = 0 only, got alpha = {self.spec.alpha}")
-        if len(self.frequencies) < 1:
-            raise ValueError("fourier feature map requires at least one frequency")
+        _check_parameters(self.spec, self.taus, self.directions)
 
     @property
     def m(self) -> int:
-        return len(self.frequencies)
+        return len(self.taus)
+
+    @property
+    def omegas(self) -> np.ndarray:
+        """The frequencies omega_j = tau_j w_j, one row each."""
+        return self.taus[:, None] * self.directions
 
     @property
     def scaling(self) -> float:
@@ -105,13 +104,13 @@ class FourierFeatureMap:
         """Columns cos(omega_j . x), then sin(omega_j . x), one per frequency."""
         X = _as_points(X, self.spec.d)
         out = np.empty((len(X), 2 * self.m))
-        phase = np.matmul(X, self.frequencies.omegas.T, out=out[:, self.m:])
+        phase = np.matmul(X, self.omegas.T, out=out[:, self.m:])
         np.cos(phase, out=out[:, :self.m])
         np.sin(phase, out=phase)
         return out
 
-    def grid_apply(self, weights, start: float, step: float, n: int) -> np.ndarray:
-        """features(start + step * k for k < n) @ weights on a uniform grid, for d = 1 only.
+    def grid_apply(self, weights, n: int) -> np.ndarray:
+        """features(-R + k step for k < n) @ weights, step = 2R / (n - 1), for d = 1 only.
 
         The grid is cut into blocks of b rows, b the power of two at or above
         sqrt(n).  Row j of the block that starts at s has phase omega s + omega j step,
@@ -122,11 +121,11 @@ class FourierFeatureMap:
         are interleaved to match.  Each block is multiplied by them as it is
         built: no (n, 2m) array exists and the temporaries are O(sqrt(n) m).
         """
-        weights = _check_grid(self.spec, 2 * self.m, weights, start, step, n)
+        weights, start, step = _check_grid(self.spec, 2 * self.m, weights, n)
         b = 1
         while b * b < n:
             b *= 2
-        omegas, m = self.frequencies.omegas[:, 0], self.m
+        omegas, m = self.omegas[:, 0], self.m
         starts = _phasors(np.multiply.outer(start + np.arange(0, n, b) * step, omegas))
         offsets = _phasors(np.multiply.outer(np.arange(b) * step, omegas))
         interleaved = np.empty_like(weights)
@@ -141,18 +140,23 @@ class FourierFeatureMap:
         return out
 
 
-def _check_grid(spec: KernelSpec, columns: int, weights, start: float, step: float, n: int) -> np.ndarray:
-    """The checks of both maps' grid_apply; returns the weights as a float array."""
+def _check_parameters(spec: KernelSpec, values, directions) -> None:
+    """The check of both maps: m >= 1 values of shape (m,) and directions of shape (m, d)."""
+    if np.ndim(values) != 1 or len(values) < 1 or np.shape(directions) != (len(values), spec.d):
+        raise ValueError(f"a feature map needs m >= 1 values of shape (m,) and directions of shape "
+                         f"(m, {spec.d}), got {np.shape(values)} and {np.shape(directions)}")
+
+
+def _check_grid(spec: KernelSpec, columns: int, weights, n: int):
+    """The checks of both maps' grid_apply; returns float weights and the grid's start and step."""
     if spec.d != 1 or spec.alpha != 0:
         raise ValueError(f"grid_apply needs d = 1 and alpha = 0, got d = {spec.d}, alpha = {spec.alpha}")
     if n < 1:
         raise ValueError(f"grid_apply needs at least one point, got n = {n}")
-    if not (np.isfinite(start) and np.isfinite(step)):
-        raise ValueError("points must be finite")
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (1, 2) or len(weights) != columns:
         raise ValueError(f"weights must have shape ({columns},) or ({columns}, k), got {weights.shape}")
-    return weights
+    return weights, -spec.R, 2 * spec.R / max(n - 1, 1)
 
 
 def _phasors(phase: np.ndarray) -> np.ndarray:
@@ -163,11 +167,17 @@ def _phasors(phase: np.ndarray) -> np.ndarray:
 
 
 def sample_nn_ensemble(spec: KernelSpec, m: int, stream: RngStream) -> NNFeatureMap:
-    return NNFeatureMap(spec, sample_nn_params(spec.d, spec.R, m, stream))
+    """m i.i.d. pairs: direction uniform on the sphere, then bias uniform on [-R, R]."""
+    rng = stream.generator()
+    directions = _unit_rows(rng, m, spec.d)
+    return NNFeatureMap(spec, directions, rng.uniform(-spec.R, spec.R, size=m))
 
 
 def sample_fourier_ensemble(spec: KernelSpec, m: int, stream: RngStream) -> FourierFeatureMap:
-    return FourierFeatureMap(spec, sample_fourier_frequencies(spec.d, spec.R, m, stream))
+    """m frequencies omega = tau w: tau from the sin^2 density, then w uniform on the sphere."""
+    rng = stream.generator()
+    taus = _taus(spec.R, m, rng)
+    return FourierFeatureMap(spec, taus, _unit_rows(rng, m, spec.d))
 
 
 def approx_kernel(Xa, Xb, ensemble: NNFeatureMap | FourierFeatureMap) -> np.ndarray:

@@ -64,8 +64,9 @@ class KernelSpec:
 
 
 def _check_radius(R: float) -> None:
-    if not 0 < R < np.inf:
-        raise ValueError(f"radius must be positive and finite, got {R}")
+    # two points of the ball lie up to 2R apart, so 2R must be finite too
+    if not 0 < R <= np.finfo(float).max / 2:
+        raise ValueError(f"radius must be positive and finite, got {R}, and so must its diameter 2R")
 
 
 @lru_cache(maxsize=32)

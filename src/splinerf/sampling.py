@@ -1,8 +1,9 @@
-"""Seeded sampling of sphere directions, network parameters and Fourier frequencies.
+"""Seeded sampling of sphere directions and Fourier frequency magnitudes.
 
 All samplers are pure functions of their parameters and an :class:`RngStream`,
 and each call draws from the one generator of its stream: identical seeds
-reproduce identical output regardless of call order.
+reproduce identical output regardless of call order.  The feature maps in
+:mod:`splinerf.features` draw their parameters with the helpers here.
 """
 
 from __future__ import annotations
@@ -19,13 +20,9 @@ __all__ = [
     "SamplerError",
     "RngStream",
     "derive_seed",
-    "NNParams",
-    "FourierFrequencies",
-    "sample_nn_params",
     "tau_density",
     "sample_fourier_taus",
     "tau_rejection_stats",
-    "sample_fourier_frequencies",
 ]
 
 # Cauchy-envelope rejection bound: p/q = sin^2(Rt) + sin^2(Rt)/(Rt)^2 <= 2.
@@ -70,32 +67,6 @@ def derive_seed(seed: int, *parts) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
-@dataclass(frozen=True)
-class NNParams:
-    """An ensemble of (direction, bias) pairs: unit rows and biases in [-R, R]."""
-
-    directions: np.ndarray  # (m, d), unit rows
-    biases: np.ndarray      # (m,)
-
-    def __len__(self) -> int:
-        return self.biases.shape[0]
-
-
-@dataclass(frozen=True)
-class FourierFrequencies:
-    """An ensemble of frequencies omega = tau * w with w on the unit sphere."""
-
-    taus: np.ndarray        # (m,)
-    directions: np.ndarray  # (m, d), unit rows
-
-    @property
-    def omegas(self) -> np.ndarray:
-        return self.taus[:, None] * self.directions
-
-    def __len__(self) -> int:
-        return self.taus.shape[0]
-
-
 def _unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
     g = rng.standard_normal((m, d))
     norms = np.linalg.norm(g, axis=1)
@@ -105,19 +76,6 @@ def _unit_rows(rng: np.random.Generator, m: int, d: int) -> np.ndarray:
         g[bad] = rng.standard_normal((int(bad.sum()), d))
         norms = np.linalg.norm(g, axis=1)
     return g / norms[:, None]
-
-
-def sample_nn_params(d: int, R: float, m: int, stream: RngStream) -> NNParams:
-    """Draw m i.i.d. pairs: direction uniform on the sphere, bias uniform on [-R, R]."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    _check_radius(R)
-    if m < 0:
-        raise ValueError(f"ensemble size must be non-negative, got {m}")
-    rng = stream.generator()
-    directions = _unit_rows(rng, m, d)
-    biases = rng.uniform(-R, R, size=m)
-    return NNParams(directions=directions, biases=biases)
 
 
 def tau_density(tau, R: float):
@@ -179,12 +137,3 @@ def tau_rejection_stats(R: float, n_proposals: int, stream: RngStream):
     accepted = _rejection_round(R, int(n_proposals), rng)
     return accepted, accepted.size
 
-
-def sample_fourier_frequencies(d: int, R: float, m: int, stream: RngStream) -> FourierFrequencies:
-    """Draw m frequencies omega = tau * w, tau from the sin^2 density, w on the sphere."""
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    rng = stream.generator()
-    taus = _taus(R, m, rng)
-    directions = _unit_rows(rng, m, d)
-    return FourierFrequencies(taus=taus, directions=directions)

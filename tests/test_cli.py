@@ -114,10 +114,11 @@ def test_seventeen_digit_serialization(tmp_path):
           "--seed", "3", "--out", str(out)])
     _, _, rows = _read_csv(out)
     # values round-trip exactly through the emitted text
-    from splinerf.sampling import sample_nn_params
+    from splinerf.features import sample_nn_ensemble
+    from splinerf.kernels import KernelSpec
 
-    params = sample_nn_params(1, 1.0, 2, RngStream(derive_seed(3, "feature-sample", "nn")))
-    assert float(rows[0][1]) == params.biases[0]
+    ens = sample_nn_ensemble(KernelSpec(0, 1, 1.0), 2, RngStream(derive_seed(3, "feature-sample", "nn")))
+    assert float(rows[0][1]) == ens.biases[0]
 
 
 def test_fig1_contracts(tmp_path, capsys):
@@ -346,11 +347,16 @@ def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
      "feature-sample: radius must be positive and finite"),
     (["--experiment", "feature-sample", "--kind", "fourier", "--radius", "nan"],
      "feature-sample: radius must be positive and finite"),
+    # a finite radius whose diameter 2R overflows once ended in an OverflowError traceback
+    (["--experiment", "fig2", "--radius", "1e308"], "fig2: radius must be positive and finite"),
+    (["--experiment", "feature-sample", "--radius", "1e308"],
+     "feature-sample: radius must be positive and finite"),
 ], ids=["fig3-n-1", "fig3-lambda-0", "fig3-lambda-inf", "fig3-lambda-nan",
         "fig3-lambda-1e-300", "fig3-n-3-lambda-1e-20", "fig1-radius--1",
         "kernel-eval-dim-0", "fig1-n-513",
         "kernel-eval-radius-nan", "kernel-eval-radius-inf", "fig2-radius-nan",
-        "feature-sample-nn-radius-inf", "feature-sample-fourier-radius-nan"])
+        "feature-sample-nn-radius-inf", "feature-sample-fourier-radius-nan",
+        "fig2-radius-1e308", "feature-sample-radius-1e308"])
 def test_library_value_error_is_one_line(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n"))
     out = tmp_path / "out.csv"

@@ -14,12 +14,12 @@ from splinerf.features import (
 )
 from splinerf.kernels import KernelSpec, UnsupportedOrderError, kd
 from splinerf.regression import FitConfig, fit_primal, predict
-from splinerf.sampling import FourierFrequencies, NNParams, RngStream, derive_seed, sample_nn_params
+from splinerf.sampling import RngStream, derive_seed
 
 
 def _manual_nn_ensemble(w, b, spec):
     w = np.atleast_2d(np.asarray(w, dtype=float))
-    return NNFeatureMap(spec, NNParams(directions=w, biases=np.atleast_1d(b)))
+    return NNFeatureMap(spec, w, np.atleast_1d(np.asarray(b, dtype=float)))
 
 
 def test_nn_feature_values():
@@ -51,8 +51,7 @@ def test_fourier_diag_exact_half():
 
 def test_fourier_zero_frequency_constant():
     spec = KernelSpec(0, 1, 1.0)
-    freqs = FourierFrequencies(taus=np.array([0.0]), directions=np.array([[1.0]]))
-    ens = FourierFeatureMap(spec, freqs)
+    ens = FourierFeatureMap(spec, np.array([0.0]), np.array([[1.0]]))
     X = np.linspace(-1, 1, 9)[:, None]
     K = approx_kernel(X, X, ens)
     assert np.all(K == 0.5)
@@ -61,9 +60,8 @@ def test_fourier_zero_frequency_constant():
 def test_fourier_requires_alpha0():
     with pytest.raises(UnsupportedOrderError):
         sample_fourier_ensemble(KernelSpec(1, 1, 1.0), 8, RngStream(0))
-    freqs = FourierFrequencies(taus=np.array([1.0]), directions=np.array([[1.0]]))
     with pytest.raises(UnsupportedOrderError):
-        FourierFeatureMap(KernelSpec(1, 1, 1.0), freqs)
+        FourierFeatureMap(KernelSpec(1, 1, 1.0), np.array([1.0]), np.array([[1.0]]))
 
 
 def test_fourier_kernel_value_d1():
@@ -73,7 +71,7 @@ def test_fourier_kernel_value_d1():
     y = np.array([[-0.4]])
     khat = approx_kernel(x, y, ens)[0, 0]
     # per-frequency terms are cos(omega * 0.7) / 2; estimate their spread
-    per_freq = 0.5 * np.cos(ens.frequencies.omegas.ravel() * 0.7)
+    per_freq = 0.5 * np.cos(ens.omegas.ravel() * 0.7)
     se = per_freq.std(ddof=1) / np.sqrt(ens.m)
     expected = 0.5 - 0.7 / 4.0
     assert abs(khat - expected) < 4 * se
@@ -86,7 +84,7 @@ def test_fourier_kernel_value_d2():
     y = np.array([[0.0, -0.4]])
     khat = approx_kernel(x, y, ens)[0, 0]
     delta = (x - y).ravel()
-    per_freq = 0.5 * np.cos(ens.frequencies.omegas @ delta)
+    per_freq = 0.5 * np.cos(ens.omegas @ delta)
     se = per_freq.std(ddof=1) / np.sqrt(ens.m)
     assert abs(khat - kd(x.ravel(), y.ravel(), spec)) < 5 * se
 
@@ -169,21 +167,21 @@ def test_feature_matrix_dimension_mismatch():
 @pytest.mark.parametrize("d", [1, 3])
 def test_nn_features_match_reference_bit_for_bit(d, alpha):
     spec = KernelSpec(alpha, d, 1.0)
-    params = sample_nn_params(d, 1.0, 300, RngStream(derive_seed(35, d)))
-    W, b = params.directions.copy(), params.biases.copy()
+    ens = sample_nn_ensemble(spec, 300, RngStream(derive_seed(35, d)))
+    W, b = ens.directions.copy(), ens.biases.copy()
     X = np.random.default_rng(36).uniform(-0.7, 0.7, (40, d))
     # the first point lies on the first feature's hyperplane: w . x + b is exactly 0
     W[0], b[0], X[0, 0] = np.eye(d)[0], -0.25, 0.25
     ref = nn_features_reference(X, W, b, alpha)
     assert (X[:1] @ W[:1].T + b[0])[0, 0] == 0.0 and ref[0, 0] == 0.0
-    assert np.array_equal(NNFeatureMap(spec, NNParams(directions=W, biases=b)).features(X), ref)
+    assert np.array_equal(NNFeatureMap(spec, W, b).features(X), ref)
 
 
 @pytest.mark.parametrize("d", [1, 3])
 def test_fourier_features_match_reference_bit_for_bit(d):
     ens = sample_fourier_ensemble(KernelSpec(0, d, 1.0), 300, RngStream(derive_seed(37, d)))
     X = np.random.default_rng(38).uniform(-0.7, 0.7, (40, d))
-    assert np.array_equal(ens.features(X), fourier_features_reference(X, ens.frequencies.omegas))
+    assert np.array_equal(ens.features(X), fourier_features_reference(X, ens.omegas))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -211,7 +209,7 @@ def test_primal_predict_at_non_finite_point_rejected(bad):
 def heavy_tailed_fourier_map():
     # this draw reaches |omega| = 2.8e5, as fig2's own draws do at seeds 2 and 3 (3.2e4 at seed 0)
     ens = sample_fourier_ensemble(KernelSpec(0, 1, 1.0), 2048, RngStream(7))
-    assert np.abs(ens.frequencies.omegas).max() > 2.5e5
+    assert np.abs(ens.omegas).max() > 2.5e5
     return ens
 
 
@@ -221,26 +219,24 @@ def test_grid_apply_matches_features(heavy_tailed_fourier_map, n, k):
     ens, R = heavy_tailed_fourier_map, 1.0
     W = np.random.default_rng(n).standard_normal((2 * ens.m,) if k is None else (2 * ens.m, k))
     start, step = -R, 2 * R / max(n - 1, 1)
-    got = ens.grid_apply(W, start, step, n)
+    got = ens.grid_apply(W, n)
     ref = ens.features(start + step * np.arange(n)[:, None]) @ W
     assert got.shape == ref.shape
     # Both phases round omega * t, |t| <= R, to within a few ulp of max|omega| R, so each
     # feature entry differs by that much and each output row by that times sum |W|.
-    bound = 4 * np.finfo(float).eps * (1 + np.abs(ens.frequencies.omegas).max() * R)
+    bound = 4 * np.finfo(float).eps * (1 + np.abs(ens.omegas).max() * R)
     np.testing.assert_array_less(np.abs(got - ref), np.broadcast_to(bound * np.abs(W).sum(axis=0), got.shape))
 
 
 def test_grid_apply_rejects_bad_grids(heavy_tailed_fourier_map):
     W = np.ones(2 * heavy_tailed_fourier_map.m)
     with pytest.raises(ValueError, match="at least one point"):
-        heavy_tailed_fourier_map.grid_apply(W, -1.0, 0.1, 0)
-    with pytest.raises(ValueError, match="finite"):
-        heavy_tailed_fourier_map.grid_apply(W, np.nan, 0.1, 4)
+        heavy_tailed_fourier_map.grid_apply(W, 0)
     with pytest.raises(ValueError, match="weights must have shape"):
-        heavy_tailed_fourier_map.grid_apply(W[1:], -1.0, 0.1, 4)
+        heavy_tailed_fourier_map.grid_apply(W[1:], 4)
     ens2 = sample_fourier_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7))
     with pytest.raises(ValueError, match="d = 1"):
-        ens2.grid_apply(np.ones(16), -1.0, 0.1, 4)
+        ens2.grid_apply(np.ones(16), 4)
 
 
 @pytest.fixture(scope="module")
@@ -253,7 +249,7 @@ def step_map():
 def test_nn_grid_apply_matches_features(step_map, n, k):
     W = np.random.default_rng(n).standard_normal((step_map.m,) if k is None else (step_map.m, k))
     start, step = -1.0, 2.0 / max(n - 1, 1)
-    got = step_map.grid_apply(W, start, step, n)
+    got = step_map.grid_apply(W, n)
     ref = step_map.features(start + step * np.arange(n)[:, None]) @ W
     assert got.shape == ref.shape
     # Both sides add the same on-weights, in threshold and in index order.  A sum of
@@ -273,7 +269,7 @@ def test_nn_grid_apply_ties_are_inactive():
     F = ens.features(t[:, None])
     assert F[t == -0.5, 0] == 0 and F[t == 0.0, 1] == 0 and F[t == 0.25, 2] == 0
     assert F[t == -0.75, 3] == 0
-    np.testing.assert_array_equal(ens.grid_apply(W, -1.0, 0.25, 9), F @ W)
+    np.testing.assert_array_equal(ens.grid_apply(W, 9), F @ W)
 
 
 def test_nn_grid_apply_cancellation(step_map):
@@ -281,7 +277,7 @@ def test_nn_grid_apply_cancellation(step_map):
     # each plus a unit normal: the output is far smaller than sum|W|.
     m, rng = step_map.m, np.random.default_rng(5)
     by_threshold = np.empty(m)
-    by_threshold[np.argsort(-step_map.params.biases)] = (-1.0) ** np.arange(m)
+    by_threshold[np.argsort(-step_map.biases)] = (-1.0) ** np.arange(m)
     W = 1e12 * np.stack([by_threshold, (-1.0) ** np.arange(m)], axis=1) + rng.standard_normal((m, 2))
     t = -1.0 + 2.0 / 511 * np.arange(512)
     F = step_map.features(t[:, None]).astype(bool)
@@ -289,33 +285,60 @@ def test_nn_grid_apply_cancellation(step_map):
     # c = 1 against the correctly rounded sums: each prefix-sum step rounds by at
     # most eps/2 of a partial sum, and for this W they add up to about 0.1 eps sum|W|.
     bound = np.finfo(float).eps * np.abs(W).sum(axis=0)
-    np.testing.assert_array_less(np.abs(step_map.grid_apply(W, -1.0, 2.0 / 511, 512) - exact),
+    np.testing.assert_array_less(np.abs(step_map.grid_apply(W, 512) - exact),
                                  np.broadcast_to(bound, (512, 2)))
 
 
 def test_nn_grid_apply_rejects(step_map):
     W = np.ones(step_map.m)
     with pytest.raises(ValueError, match="d = 1"):
-        sample_nn_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), -1.0, 0.1, 4)
+        sample_nn_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), 4)
     with pytest.raises(ValueError, match="alpha = 0"):
-        sample_nn_ensemble(KernelSpec(1, 1, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), -1.0, 0.1, 4)
+        sample_nn_ensemble(KernelSpec(1, 1, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), 4)
     with pytest.raises(ValueError, match="at least one point"):
-        step_map.grid_apply(W, -1.0, 0.1, 0)
-    with pytest.raises(ValueError, match="finite"):
-        step_map.grid_apply(W, np.nan, 0.1, 4)
+        step_map.grid_apply(W, 0)
     with pytest.raises(ValueError, match="weights must have shape"):
-        step_map.grid_apply(np.ones((step_map.m + 1, 2)), -1.0, 0.1, 4)
+        step_map.grid_apply(np.ones((step_map.m + 1, 2)), 4)
     half = _manual_nn_ensemble([[1.0], [0.5]], [0.0, 0.1], KernelSpec(0, 1, 1.0))
     with pytest.raises(ValueError, match="exactly"):
-        half.grid_apply(np.ones(2), -1.0, 0.1, 4)
+        half.grid_apply(np.ones(2), 4)
 
 
 def test_ensemble_validation():
     spec = KernelSpec(0, 1, 1.0)
     with pytest.raises(ValueError):
-        NNFeatureMap(spec, NNParams(directions=np.empty((0, 1)), biases=np.empty(0)))
+        NNFeatureMap(spec, np.empty((0, 1)), np.empty(0))
     with pytest.raises(ValueError):
-        FourierFeatureMap(spec, FourierFrequencies(taus=np.empty(0), directions=np.empty((0, 1))))
+        FourierFeatureMap(spec, np.empty(0), np.empty((0, 1)))
+
+
+@pytest.mark.parametrize("values, directions", [
+    (np.zeros(1), np.ones((3, 1))),       # three directions, one value
+    (np.zeros(3), np.ones((1, 1))),       # one direction, three values
+    (np.zeros((3, 1)), np.ones((3, 1))),  # values not of shape (m,)
+    (np.zeros(3), np.ones((3, 2))),       # directions of another dimension than the spec's
+    (np.zeros(3), np.ones(3)),            # directions not of shape (m, d)
+])
+def test_feature_maps_check_parameter_shapes(values, directions):
+    spec = KernelSpec(0, 1, 1.0)
+    for make in (lambda: NNFeatureMap(spec, directions, values),
+                 lambda: FourierFeatureMap(spec, values, directions)):
+        with pytest.raises(ValueError, match="m >= 1 values of shape"):
+            make()
+
+
+@pytest.mark.parametrize("R", [0.25, 3.0])
+def test_grid_apply_reads_its_radius(R):
+    # both maps apply their weights on the grid of their own ball, -R + k 2R / (n - 1)
+    n, rng = 33, np.random.default_rng(6)
+    t = -R + 2 * R / (n - 1) * np.arange(n)[:, None]
+    nn = sample_nn_ensemble(KernelSpec(0, 1, R), 64, RngStream(8))
+    fourier = sample_fourier_ensemble(KernelSpec(0, 1, R), 64, RngStream(8))
+    # the rounding bounds of the two grid_apply tests above
+    for ens, phase in ((nn, 0.0), (fourier, np.abs(fourier.omegas).max() * R)):
+        W = rng.standard_normal(ens.features(t).shape[1])
+        bound = 4 * np.finfo(float).eps * (1 + phase) * np.abs(W).sum()
+        assert np.abs(ens.grid_apply(W, n) - ens.features(t) @ W).max() <= bound
 
 
 def test_feature_maps_shape_and_scaling():

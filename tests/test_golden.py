@@ -1,6 +1,6 @@
 """Determinism pin: the CLI reproduces the reference CSVs in tests/data.
 
-The references were written by the CLI with the flags in CASES. Metadata
+The references were written by the CLI with the flags in CASES and THREAD_CASES. Metadata
 lines, headers and label columns must match exactly. Numeric columns must
 match to rtol 1e-12: any change to the numerics shows far above that, while
 another numpy or BLAS build may round the last bits differently.
@@ -84,6 +84,9 @@ THREAD_CASES = {
     "fig3": ("fig3.csv", CASES["fig3.csv"]),
     "feature-sample": ("feature_sample_fourier.csv",
                        ["--experiment", "feature-sample", "--kind", "fourier", "--m", "3", "--seed", "7"]),
+    "feature-sample-nn": ("feature_sample_nn.csv",
+                          ["--experiment", "feature-sample", "--kind", "nn", "--dim", "3", "--m", "5",
+                           "--seed", "7"]),
 }
 
 
@@ -114,7 +117,8 @@ def test_same_bytes_at_one_and_two_blas_threads(blas_thread_run, name):
 
 
 def test_feature_sample_is_byte_identical(tmp_path):
-    out = tmp_path / "fs.csv"
-    assert main(["--experiment", "feature-sample", "--kind", "fourier", "--m", "3",
-                 "--seed", "7", "--out", str(out)]) == 0
-    assert out.read_bytes() == (DATA / "feature_sample_fourier.csv").read_bytes()
+    for name in ("feature-sample", "feature-sample-nn"):
+        reference, args = THREAD_CASES[name]
+        out = tmp_path / reference
+        assert main(args + ["--out", str(out)]) == 0
+        assert out.read_bytes() == (DATA / reference).read_bytes(), name

@@ -2,21 +2,20 @@ import numpy as np
 import pytest
 
 from oracles import sphere_moment
+from splinerf.features import sample_fourier_ensemble, sample_nn_ensemble
 from splinerf.kernels import KernelSpec, make_profile, rkhs_norm_1d
 from splinerf.sampling import (
     RngStream,
     SamplerError,
     derive_seed,
-    sample_fourier_frequencies,
     sample_fourier_taus,
-    sample_nn_params,
     tau_density,
     tau_rejection_stats,
 )
 
 
 def _direction(d, stream):
-    return sample_nn_params(d, 1.0, 1, stream).directions[0]
+    return sample_nn_ensemble(KernelSpec(0, d, 1.0), 1, stream).directions[0]
 
 
 def test_sphere_determinism():
@@ -35,7 +34,7 @@ def test_sphere_unit_norm():
 
 
 def test_sphere_d1_is_two_points():
-    dirs = sample_nn_params(1, 1.0, 1_000_000, RngStream(11)).directions.ravel()
+    dirs = sample_nn_ensemble(KernelSpec(0, 1, 1.0), 1_000_000, RngStream(11)).directions.ravel()
     assert set(np.unique(dirs)) == {-1.0, 1.0}
     frac = np.mean(dirs == 1.0)
     stderr = 0.5 / np.sqrt(dirs.size)
@@ -44,7 +43,7 @@ def test_sphere_d1_is_two_points():
 
 def test_sphere_quadratic_moment_d3():
     # E[(w . e1)^2] = 1/3 on the 2-sphere
-    dirs = sample_nn_params(3, 1.0, 1_000_000, RngStream(12)).directions
+    dirs = sample_nn_ensemble(KernelSpec(0, 3, 1.0), 1_000_000, RngStream(12)).directions
     w1sq = dirs[:, 0] ** 2
     stderr = w1sq.std(ddof=1) / np.sqrt(w1sq.size)
     assert abs(w1sq.mean() - 1.0 / 3.0) < 3 * stderr
@@ -56,32 +55,31 @@ def test_sphere_invalid_dimension():
 
 
 def test_nn_params_bias_moments():
-    biases = sample_nn_params(1, 1.0, 100_000, RngStream(13)).biases
+    biases = sample_nn_ensemble(KernelSpec(0, 1, 1.0), 100_000, RngStream(13)).biases
     stderr = biases.std(ddof=1) / np.sqrt(biases.size)
     assert abs(biases.mean()) < 3 * stderr
     assert abs(biases.var() - 1.0 / 3.0) < 0.01
 
 
 def test_nn_params_bias_support():
-    params = sample_nn_params(2, 2.0, 10, RngStream(14))
+    params = sample_nn_ensemble(KernelSpec(0, 2, 2.0), 10, RngStream(14))
     assert np.all(np.abs(params.biases) <= 2.0)
     assert np.allclose(np.linalg.norm(params.directions, axis=1), 1.0, atol=1e-12)
 
 
 def test_nn_params_invalid_radius():
-    with pytest.raises(ValueError):
-        sample_nn_params(2, 0.0, 5, RngStream(0))
-    with pytest.raises(ValueError):
-        sample_nn_params(2, -1.0, 5, RngStream(0))
+    for R in (0.0, -1.0):
+        with pytest.raises(ValueError, match="radius must be positive and finite"):
+            sample_nn_ensemble(KernelSpec(0, 2, R), 5, RngStream(0))
 
 
-@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf])
+@pytest.mark.parametrize("R", [0.0, -1.0, np.nan, np.inf, 1e308])
 def test_radius_must_be_positive_and_finite(R):
+    # at R = 1e308 the diameter 2R overflows: two points of the ball lie further apart than any float
     # the kernel section k(., 0) for alpha = 0 on [-1, 1]; its squared norm is 1/2
     section = [lambda t: 0.5 - np.abs(np.asarray(t)) / 4, lambda t: -np.sign(np.asarray(t)) / 4]
     prof = make_profile(section, 1.0)
-    for make in (lambda: KernelSpec(0, 1, R), lambda: sample_nn_params(1, R, 5, RngStream(0)),
-                 lambda: sample_fourier_taus(R, 5, RngStream(0)),
+    for make in (lambda: KernelSpec(0, 1, R), lambda: sample_fourier_taus(R, 5, RngStream(0)),
                  lambda: tau_rejection_stats(R, 5, RngStream(0)), lambda: tau_density(0.5, R),
                  lambda: make_profile(section, R), lambda: rkhs_norm_1d(prof, 0, R)):
         with pytest.raises(ValueError, match="radius must be positive and finite"):
@@ -138,12 +136,12 @@ def test_tau_density_normalization_and_origin():
 
 
 def test_fourier_frequency_factorization():
-    freqs = sample_fourier_frequencies(3, 1.5, 200, RngStream(17))
+    freqs = sample_fourier_ensemble(KernelSpec(0, 3, 1.5), 200, RngStream(17))
     assert np.allclose(np.linalg.norm(freqs.omegas, axis=1), np.abs(freqs.taus), atol=1e-12)
 
 
 def test_fourier_frequency_d1_symmetry():
-    freqs = sample_fourier_frequencies(1, 1.0, 200_000, RngStream(18))
+    freqs = sample_fourier_ensemble(KernelSpec(0, 1, 1.0), 200_000, RngStream(18))
     omg = freqs.omegas.ravel()
     stderr = 1.0 / np.sqrt(omg.size)
     assert abs(np.mean(np.sign(omg))) < 4 * stderr
@@ -153,15 +151,13 @@ def test_fourier_directions_do_not_overlap_the_next_counter_block():
     # directions come from the stream's own generator, after its taus, and not
     # from the Philox block 2**64 counters on, where another sampler could start
     for seed in (0, 7, 123):
-        dirs = sample_fourier_frequencies(3, 1.0, 8, RngStream(seed)).directions
+        dirs = sample_fourier_ensemble(KernelSpec(0, 3, 1.0), 8, RngStream(seed)).directions
         g = np.random.Generator(np.random.Philox(key=seed, counter=2 ** 64)).standard_normal((8, 3))
         assert not np.allclose(dirs, g / np.linalg.norm(g, axis=1)[:, None])
 
 
 def test_fourier_frequency_empty():
-    freqs = sample_fourier_frequencies(4, 1.0, 0, RngStream(19))
-    assert len(freqs) == 0
-    assert freqs.omegas.shape == (0, 4)
+    assert sample_fourier_taus(1.0, 0, RngStream(19)).shape == (0,)
 
 
 def test_sphere_moment_closed_values():
