@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
+from numbers import Integral
 
 import numpy as np
 from scipy.linalg import blas
@@ -56,10 +57,11 @@ class KernelSpec:
     R: float = 1.0
 
     def __post_init__(self):
-        if self.alpha < 0:
+        # numpy integers are Integral too; a float, even an integral one, is not
+        if not isinstance(self.alpha, Integral) or self.alpha < 0:
             raise ValueError(f"alpha must be a natural number, got {self.alpha}")
-        if self.d < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.d}")
+        if not isinstance(self.d, Integral) or self.d < 1:
+            raise ValueError(f"dimension must be >= 1 and an integer, got {self.d}")
         _check_radius(self.R)
 
 
@@ -93,8 +95,14 @@ def monomial_exponents(d: int, max_degree: int):
 def monomial_matrix(X, exponents) -> np.ndarray:
     """M[i, k] = prod_j X[i, j] ** exponents[k][j], shape (n, len(exponents))."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    E = np.asarray(exponents, dtype=np.int64).reshape(len(exponents), X.shape[1])
-    powers = X[:, :, None] ** np.arange(E.max(initial=0) + 1)  # powers[i, j, k] = X[i, j] ** k
+    exponents = np.asarray(exponents).reshape(len(exponents), X.shape[1])
+    E = exponents.astype(np.int64)
+    if (E != exponents).any() or (E < 0).any():
+        raise ValueError("monomial exponents must be natural numbers")
+    powers = np.empty(X.shape + (int(E.max(initial=0)) + 1,))  # powers[i, j, k] = X[i, j] ** k
+    powers[..., 0] = 1.0
+    for k in range(1, powers.shape[2]):  # repeated products: no pow, whose negative bases are slow
+        np.multiply(powers[..., k - 1], X, out=powers[..., k])
     # the gather leaves M transposed in memory, and BLAS rounds M @ C by layout
     return np.ascontiguousarray(np.prod(powers[:, np.arange(X.shape[1]), E], axis=2))
 
@@ -163,15 +171,21 @@ def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
 
 def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
     """c(alpha, d) |a - b|^(2 alpha + 1) / R over the broadcast of A and B, shape (..., d),
-    computed in out, with tmp for the later squares (buffers of the broadcast shape, or None)."""
+    computed in out with tmp as scratch (buffers of the broadcast shape, or None).
+
+    With s = |a - b|^2 summed over coordinates in out, the power is r s^alpha for r = sqrt(s),
+    by alpha products and no pow: exactly r at alpha = 0, and a few ulps from the rounded
+    power at alpha >= 1.  Coincident points give 0, signed as c(alpha, d).
+    """
     out = np.subtract(A[..., 0], B[..., 0], out=out)
     np.square(out, out=out)
     for j in range(1, spec.d):
         tmp = np.subtract(A[..., j], B[..., j], out=tmp)
         out += np.square(tmp, out=tmp)
-    np.sqrt(out, out=out)
-    np.power(out, 2 * spec.alpha + 1, out=out)
-    out *= c_alpha(spec)
+    r = np.sqrt(out, out=tmp)
+    for _ in range(spec.alpha):
+        r *= out
+    np.multiply(r, c_alpha(spec), out=out)
     out /= spec.R
     return out
 

@@ -372,10 +372,14 @@ def fourier_features_reference(X, omegas):
 
 
 def distance_term_reference(Xa, Xb, spec):
-    """c(alpha, d) |a - b|^(2 alpha + 1) / R over all pairs as one whole-block expression."""
+    """c(alpha, d) |a - b|^(2 alpha + 1) / R over all pairs as one whole-block expression,
+    the power as sqrt(s) s ... s with alpha factors s = |a - b|^2, multiplied left to right."""
     A, B = Xa[:, None, :], Xb[None, :, :]
-    dist = np.sqrt(sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d)))
-    return c_alpha(spec) * dist ** (2 * spec.alpha + 1) / spec.R
+    sq = sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d))
+    power = np.sqrt(sq)
+    for _ in range(spec.alpha):
+        power = power * sq
+    return c_alpha(spec) * power / spec.R
 
 
 def saddle_solve(X, y, spec, shift):

@@ -1,6 +1,7 @@
 """Determinism pin: the CLI reproduces the reference CSVs in tests/data.
 
-The references were written by the CLI with the flags in CASES and THREAD_CASES. Metadata
+The references were written by the CLI with the flags in CASES and THREAD_CASES, reading on
+stdin the input file that STDIN names, if any; kernel-eval's is the one alpha >= 1 case. Metadata
 lines, headers and label columns must match exactly. Numeric columns must
 match to rtol 1e-12: any change to the numerics shows far above that, while
 another numpy or BLAS build may round the last bits differently.
@@ -9,6 +10,7 @@ writes the same bytes at one and at two OpenBLAS threads, each run in a fresh
 interpreter, and its one-thread output is checked against the same reference.
 """
 
+import io
 import os
 import pathlib
 import subprocess
@@ -24,7 +26,11 @@ DATA = pathlib.Path(__file__).parent / "data"
 CASES = {
     "fig1_reps1.csv": ["--experiment", "fig1", "--reps", "1", "--seed", "0"],
     "fig3.csv": ["--experiment", "fig3", "--seed", "0"],
+    "kernel_eval_alpha3.csv": ["--experiment", "kernel-eval", "--alpha", "3", "--dim", "3"],
 }
+# reference file -> the file in DATA that the CLI reads on stdin: 200 pairs in the unit ball,
+# far apart, about 1e-3 apart and coincident
+STDIN = {"kernel_eval_alpha3.csv": "kernel_eval_alpha3.txt"}
 
 
 def _split(text):
@@ -58,7 +64,9 @@ def _assert_matches_reference(path, name):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_matches_reference(tmp_path, name):
+def test_cli_matches_reference(tmp_path, monkeypatch, name):
+    if name in STDIN:
+        monkeypatch.setattr("sys.stdin", io.StringIO((DATA / STDIN[name]).read_text(encoding="utf-8")))
     out = tmp_path / name
     assert main(CASES[name] + ["--out", str(out)]) == 0
     _assert_matches_reference(out, name)
@@ -69,12 +77,14 @@ def test_fig2_matches_reference(fig2_run):
     _assert_matches_reference(path, "fig2.csv")
 
 
-def _run_at_blas_threads(args, threads):
-    """Run the CLI in a fresh interpreter with the given OpenBLAS thread count."""
+def _run_at_blas_threads(args, threads, stdin=None):
+    """Run the CLI in a fresh interpreter with the given OpenBLAS thread count, the text stdin
+    on its standard input."""
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    subprocess.run([sys.executable, "-m", "splinerf"] + args, env=env, check=True)
+    subprocess.run([sys.executable, "-m", "splinerf"] + args, input=stdin, text=True, env=env,
+                   check=True)
 
 
 # experiment name -> (reference file, CLI flags)
@@ -82,6 +92,7 @@ THREAD_CASES = {
     "fig1": ("fig1_reps1.csv", CASES["fig1_reps1.csv"]),
     "fig2": ("fig2.csv", ["--experiment", "fig2", "--seed", "0"]),
     "fig3": ("fig3.csv", CASES["fig3.csv"]),
+    "kernel-eval": ("kernel_eval_alpha3.csv", CASES["kernel_eval_alpha3.csv"]),
     "feature-sample": ("feature_sample_fourier.csv",
                        ["--experiment", "feature-sample", "--kind", "fourier", "--m", "3", "--seed", "7"]),
     "feature-sample-nn": ("feature_sample_nn.csv",
@@ -97,8 +108,10 @@ def blas_thread_run(tmp_path_factory):
 
     def run(name, threads):
         if (name, threads) not in paths:
+            reference, args = THREAD_CASES[name]
             out = tmp_path_factory.mktemp("threads") / f"{name}-{threads}.csv"
-            _run_at_blas_threads(THREAD_CASES[name][1] + ["--out", str(out)], threads)
+            stdin = (DATA / STDIN[reference]).read_text(encoding="utf-8") if reference in STDIN else None
+            _run_at_blas_threads(args + ["--out", str(out)], threads, stdin)
             paths[name, threads] = out
         return paths[name, threads]
 

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import pathlib
@@ -5,6 +6,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -294,6 +296,31 @@ def test_kernel_spec_validation():
         KernelSpec(0, 2, 0.0)
 
 
+@pytest.mark.parametrize("alpha, d", [(2.5, 3), (1.0, 2), (1, 2.0), (1, 2.5), (np.float64(1), 2)])
+def test_kernel_spec_rejects_non_integral_orders(alpha, d):
+    with pytest.raises(ValueError, match="alpha must be a natural number|dimension must be >= 1"):
+        KernelSpec(alpha, d)
+
+
+def test_kernel_spec_accepts_numpy_integers():
+    spec = KernelSpec(np.int64(1), np.int64(2))
+    X = np.array([[0.1, 0.2], [-0.3, 0.4]])
+    assert np.array_equal(kernel_matrix(X, X, spec), kernel_matrix(X, X, KernelSpec(1, 2)))
+
+
+@pytest.mark.parametrize("exponents", [[(0, -1)], [(0.5, 1)], [(1, 0), (2, -3)]])
+def test_monomial_matrix_rejects_exponents_that_are_not_natural(exponents):
+    with pytest.raises(ValueError, match="natural numbers"):
+        monomial_matrix([[2.0, 3.0]], exponents)
+
+
+def test_monomial_matrix_accepts_integral_exponents_of_any_dtype():
+    want = np.array([[2.0 * 9.0, 1.0]])
+    for exponents in ([(1, 2), (0, 0)], np.array([(1, 2), (0, 0)], dtype=np.uint8),
+                      [(1.0, 2.0), (0.0, 0.0)]):
+        assert np.array_equal(monomial_matrix([[2.0, 3.0]], exponents), want)
+
+
 @pytest.mark.parametrize("alpha", [0, 1, 3])
 @pytest.mark.parametrize("d", [1, 3])
 def test_kernel_matrix_is_pol_part_plus_distance_term(alpha, d):
@@ -313,7 +340,10 @@ def test_kernel_matrix_is_pol_part_plus_distance_term(alpha, d):
         assert np.array_equal(A, A_in) and np.array_equal(B, B_in)
         assert K.shape == D.shape == (len(A), len(B))
         assert np.array_equal(K, kernel_matrix(A, B, spec, kind="pol_only") + D)
-        assert np.array_equal(D, c_alpha(spec) * cdist(A, B) ** (2 * alpha + 1) / spec.R)
+        sq = cdist(A, B, "sqeuclidean")
+        # |a - b|^(2 alpha + 1) as |a - b| times alpha factors |a - b|^2, left to right
+        power = functools.reduce(np.multiply, [sq] * alpha, cdist(A, B))
+        assert np.array_equal(D, c_alpha(spec) * power / spec.R)
 
 
 @pytest.mark.parametrize("alpha", [0, 1, 2, 3])
@@ -385,7 +415,10 @@ def test_monomial_matrix_matches_broadcast_powers(alpha, d):
     X[3] = 0.0  # 0 ** 0 is 1
     E = np.array(monomial_exponents(d, alpha))
     M = monomial_matrix(X, E)
-    assert np.array_equal(M, np.prod(X[:, None, :] ** E[None], axis=2))
+    # x^k as the k-th left-to-right product x x ... x, with x^0 = 1
+    table = np.concatenate([np.ones((41, d, 1)),
+                            np.cumprod(np.repeat(X[:, :, None], alpha, axis=2), axis=2)], axis=2)
+    assert np.array_equal(M, np.prod([table[:, j, E[:, j]] for j in range(d)], axis=0))
     assert M.flags.c_contiguous  # M @ C rounds by memory layout
 
 
@@ -451,8 +484,8 @@ def test_distance_kernel_matches_difference_array(alpha, d):
     spec = KernelSpec(alpha, d, 1.3)
     Xa = rng.uniform(-0.7, 0.7, (31, d))
     Xb = np.vstack([Xa[:5], rng.uniform(-0.7, 0.7, (12, d))])
-    dist = np.linalg.norm(Xa[:, None, :] - Xb[None, :, :], axis=2)
-    expected = c_alpha(spec) * dist ** (2 * alpha + 1) / spec.R
+    sq = np.sum((Xa[:, None, :] - Xb[None, :, :]) ** 2, axis=2)
+    expected = c_alpha(spec) * functools.reduce(np.multiply, [sq] * alpha, np.sqrt(sq)) / spec.R
     assert np.array_equal(distance_kernel_matrix(Xa, Xb, spec), expected)
     # the constrained spline solve relies on the square matrix being exactly symmetric
     K = distance_kernel_matrix(Xa, Xa, spec)
@@ -560,3 +593,40 @@ def test_scalar_kernels_are_kernel_pairs_rows():
                 got = scalar(Xa[i], Xb[i], spec)
                 assert got == kernel_pairs(Xa[i:i + 1], Xb[i:i + 1], spec, kind)[0]
                 assert abs(got - batch[i]) <= 1e-13 * np.abs(batch).max()
+
+
+def _exact_distance_term(a, b, spec):
+    """c |a - b|^(2 alpha + 1) / R in mpmath, for c = c_alpha(spec) as rounded: the check is
+    on the arithmetic of the power, not on the Gamma function values behind c."""
+    sq = mpmath.fsum((mpmath.mpf(u) - mpmath.mpf(v)) ** 2 for u, v in zip(a, b))
+    return mpmath.mpf(c_alpha(spec)) * sq ** spec.alpha * mpmath.sqrt(sq) / mpmath.mpf(spec.R)
+
+
+@pytest.mark.parametrize("alpha", [0, 1, 2, 3, 5, 10, 20])
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_distance_term_is_accurate_against_mpmath(alpha, d):
+    rng = np.random.default_rng(600 + 10 * alpha + d)
+    spec = KernelSpec(alpha, d, 1.3)
+    Xa, Xb = _ball_pairs(rng, 24, d, spec.R)  # rows 0-3 coincide
+    Xb[4:12] = Xa[4:12] + rng.uniform(-1e-3, 1e-3, (8, d))  # pairs about 1e-3 apart
+    got = _distance_term(Xa, Xb, spec)
+    bound = (alpha + 1) * (d + 2) * np.finfo(float).eps
+    assert np.array_equal(got[:4], np.zeros(4)) and np.all(np.signbit(got[:4]) == (alpha % 2 == 0))
+    with mpmath.workprec(200):
+        for i in range(4, 24):
+            want = _exact_distance_term(Xa[i], Xb[i], spec)
+            assert abs((mpmath.mpf(got[i]) - want) / want) <= bound, i
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_monomial_matrix_is_accurate_against_mpmath(d):
+    rng = np.random.default_rng(700 + d)
+    X = rng.uniform(-1.0, 1.0, (30, d))
+    X[0] = 0.0
+    exps = monomial_exponents(d, 6)
+    M = monomial_matrix(X, exps)
+    with mpmath.workprec(200):
+        for i, x in enumerate(X):
+            for k, e in enumerate(exps):
+                want = mpmath.fprod(mpmath.mpf(v) ** p for v, p in zip(x, e))
+                assert abs(mpmath.mpf(M[i, k]) - want) <= sum(e) * np.finfo(float).eps * abs(want)
