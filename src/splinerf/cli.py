@@ -37,8 +37,7 @@ def _fmt(value) -> str:
 def _write_csv(out: str, metadata, header, rows) -> None:
     lines = [f"# {key}={_fmt(val)}" for key, val in metadata]
     lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.extend(",".join(map(_fmt, row)) for row in rows)
     text = "\n".join(lines) + "\n"
     if out == "-":
         sys.stdout.write(text)
@@ -171,11 +170,11 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
     linenos, pairs = [], array("d")
     errors = []  # (line number, message)
     for lineno, line in enumerate(sys.stdin, start=1):
-        line = line.strip()
-        if not line:
+        toks = line.split()
+        if not toks:
             continue
         try:
-            values = [float(tok) for tok in line.split()]
+            values = list(map(float, toks))  # a list, so a bad token adds nothing to pairs
             if len(values) != 2 * d:
                 raise ValueError(f"expected {2 * d} reals, got {len(values)}")
         except ValueError as exc:
@@ -191,7 +190,7 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
         print(f"line {lineno}: {message}", file=sys.stderr)
     n_bad = len(errors)
     try:
-        rows = list(zip(linenos, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel)))
+        rows = list(zip(linenos, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel).tolist()))
     except ValueError as exc:
         print(f"kernel-eval: {exc}", file=sys.stderr)
         rows = []

@@ -5,9 +5,10 @@ The polynomial part has degree <= alpha in each argument, so on the monomial
 basis M of degree <= alpha (C(d + alpha, alpha) columns, the same basis the
 constrained spline solve uses) it is exactly k_pol(Xa, Xb) = M(Xa) C M(Xb)^T,
 with an r x r coefficient matrix C built once per KernelSpec from exact
-sphere moments.  No sampling is involved.  Every evaluator forms |x - y| from
-exact coordinate differences in one helper, so the distance term is exactly 0
-at x = y, and SciPy's spatial module is never imported.  Cross kernels are
+sphere moments, and c(alpha, d) is rounded once from its exact value.  No
+sampling is involved.  Every evaluator forms |x - y| from exact coordinate
+differences in one helper, so the distance term is exactly 0 at x = y, and
+SciPy's spatial and special modules are never imported.  Cross kernels are
 built a row block at a time by one generator, which regression.predict also
 streams, so a prediction never holds an (n_test, n) matrix.
 """
@@ -15,6 +16,7 @@ streams, so a prediction never holds an (n_test, n) matrix.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial, prod
@@ -22,7 +24,6 @@ from numbers import Integral
 
 import numpy as np
 from scipy.linalg import blas
-from scipy.special import gammaln
 
 __all__ = [
     "UnsupportedOrderError",
@@ -71,13 +72,26 @@ def _check_radius(R: float) -> None:
         raise ValueError(f"radius must be positive and finite, got {R}, and so must its diameter 2R")
 
 
+# 1/pi to 64 digits, far below one rounding of c_alpha
+_INV_PI = Fraction("0.3183098861837906715377675267450287240689192914809128974953346881")
+
+
 @lru_cache(maxsize=32)
 def c_alpha(spec: KernelSpec) -> float:
-    """Distance-term coefficient; sign is (-1)^(alpha + 1)."""
-    a, d = spec.alpha, spec.d
-    # log Gamma(a+1)^3 Gamma(d/2) / (Gamma(2a+2) Gamma(d/2+1/2+a)): finite for large a + d
-    lg = 3.0 * gammaln(a + 1) + gammaln(d / 2.0) - gammaln(2 * a + 2) - gammaln(d / 2.0 + 0.5 + a)
-    return (-1.0) ** (a + 1) * float(np.exp(lg)) / (4.0 * np.sqrt(np.pi))
+    """Distance-term coefficient c = (-1)^(alpha+1) alpha!^3 / (2 alpha + 1)!
+    Gamma(d/2) / Gamma(d/2 + 1/2 + alpha) / (4 sqrt(pi)), rounded once from its exact value.
+
+    The Gamma ratio over sqrt(pi) is the rational (2p)! / (4^p p! (p + alpha)!) for odd
+    d = 2p + 1, and (p - 1)! 4^q q! / (2q)! / pi with q = p + alpha for even d = 2p.
+    """
+    a, p = spec.alpha, spec.d // 2
+    if spec.d % 2:
+        ratio = Fraction(factorial(2 * p), 4 ** p * factorial(p) * factorial(p + a))
+    else:
+        q = p + a
+        ratio = Fraction(factorial(p - 1) * 4 ** q * factorial(q), factorial(2 * q)) * _INV_PI
+    c = Fraction(factorial(a) ** 3, factorial(2 * a + 1)) * ratio / 4
+    return float(c if a % 2 else -c)
 
 
 def monomial_exponents(d: int, max_degree: int):
@@ -177,16 +191,24 @@ def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
     by alpha products and no pow: exactly r at alpha = 0, and a few ulps from the rounded
     power at alpha >= 1.  Coincident points give 0, signed as c(alpha, d).
     """
-    out = np.subtract(A[..., 0], B[..., 0], out=out)
+    shape = np.broadcast_shapes(A.shape, B.shape)[:-1]
+    out = np.empty(shape) if out is None else out
+    tmp = np.empty(shape) if tmp is None else tmp
+    # b - a is -(a - b) exactly, so its square is the same; a copy and an in-place
+    # subtract beat numpy's broadcast subtract of a column from a row
+    np.copyto(out, B[..., 0])
+    out -= A[..., 0]
     np.square(out, out=out)
     for j in range(1, spec.d):
-        tmp = np.subtract(A[..., j], B[..., j], out=tmp)
+        np.copyto(tmp, B[..., j])
+        tmp -= A[..., j]
         out += np.square(tmp, out=tmp)
     r = np.sqrt(out, out=tmp)
     for _ in range(spec.alpha):
         r *= out
     np.multiply(r, c_alpha(spec), out=out)
-    out /= spec.R
+    if spec.R != 1:  # x / 1 is x
+        out /= spec.R
     return out
 
 

@@ -1,13 +1,16 @@
 """Interpolation, ridge regression and the constrained polyharmonic spline solve.
 
-Every dense solve goes through factor_spd: the constrained spline too, on its
-kernel projected onto the null space of the polynomial constraint.
+Every dense solve goes through one factor path: the constrained spline too, on
+its kernel projected onto the null space of the polynomial constraint.  Each fit
+hands the n x n matrix it built to that path, which factors it in the matrix's
+own memory and keeps the matrix itself in the triangle the factor does not use,
+so a fit holds one n x n array; factor_spd is the same path on a copy.
 
 One BLAS pool before every factor: numpy and scipy each load their own
 OpenBLAS, and a pool's workers keep spinning for about 0.1 s after a call.  On a
 2-vCPU Xeon VM a 2000 x 2000 cho_factor at 2 threads took 55 ms when idle or
 right after a scipy dgemm, and 111 ms right after a numpy matmul.  So the n-sized
-BLAS-3 and LAPACK calls that run before a factor_spd (the kernel's polynomial
+BLAS-3 and LAPACK calls that run before a factor (the kernel's polynomial
 part, the QR of the constraint, the products with K) go through scipy.linalg,
 the library that factors; do not put a numpy matmul in front of a factor.
 """
@@ -15,6 +18,7 @@ the library that factors; do not put a numpy matmul in front of a factor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
@@ -97,61 +101,111 @@ class RegressionModel:
 @dataclass(frozen=True)
 class SPDFactor:
     """Cholesky factor of A + (shift + escalation) I, where A is the symmetric
-    matrix with A[i, j] = A[j, i] = K[i, j] for i <= j.
+    matrix with A[i, j] = A[j, i] = K[i, j] for i <= j, held in K's own memory.
 
-    escalation is the JITTER_LADDER rung the factorization needed (0 if none).
+    factor[0] is the Fortran view K^T: its lower triangle holds the Cholesky
+    factor, its strict upper triangle A's off-diagonal entries (the mirror), and
+    diag holds A's unshifted diagonal.  escalation is the JITTER_LADDER rung the
+    factorization needed (0 if none).
     """
 
     factor: tuple
     escalation: float
+    diag: np.ndarray
 
     def solve(self, B) -> np.ndarray:
         """(A + (shift + escalation) I)^{-1} B for a vector or an (n, k) matrix B."""
         return sla.cho_solve(self.factor, B, check_finite=False)
 
+    def product(self, B) -> np.ndarray:
+        """A B, without any shift, for a vector or an (n, k) matrix B.
 
-def _shifted(K: np.ndarray, diag: float) -> np.ndarray:
-    """K^T + diag I in a fresh Fortran-ordered array, whose lower triangle holds K[i, j], i <= j."""
-    A = np.array(K.T, order="F")
-    A[np.diag_indices_from(A)] += diag
-    return A
+        Reads the mirror with A's diagonal swapped in for the factor's, which
+        is swapped back before it returns, so later solves are unchanged; a
+        solve in another thread during the call would read the wrong diagonal.
+        """
+        K = self.factor[0].T
+        factor_diag = _diagonal(K).copy()
+        _diagonal(K)[...] = self.diag
+        try:
+            return _symmetric_product(K, np.asarray(B, dtype=float), upper=False)
+        finally:
+            _diagonal(K)[...] = factor_diag
 
 
-def factor_spd(K, shift: float = 0.0) -> SPDFactor:
-    """Factor K plus shift on the diagonal, once, for many solves.
+MIRROR_TILE = 128  # rows per tile of the triangle mirror
 
-    Like LAPACK potrf, it reads one triangle of K, the entries K[i, j] with
-    i <= j, and never the other.  When Cholesky fails the diagonal is raised
-    by each JITTER_LADDER rung in turn; each try factors its own copy, so K is
-    left unmodified.
-    """
-    K = np.asarray(K, dtype=float)
+
+def _diagonal(K: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-ordered square K."""
+    return K.reshape(-1)[::len(K) + 1]
+
+
+@lru_cache(maxsize=8)
+def _strict_lower(size: int) -> np.ndarray:
+    """Read-only mask of a size x size tile's strict lower triangle, shared by every mirror."""
+    mask = np.tri(size, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _mirror(K: np.ndarray) -> None:
+    """Copy the strict upper triangle of a square K onto its strict lower one, a tile of
+    MIRROR_TILE rows at a time; on the view K.T, this copies the lower one back."""
+    n = len(K)
+    for i in range(0, n, MIRROR_TILE):
+        j = min(i + MIRROR_TILE, n)
+        K[i:j, :i] = K[:i, i:j].T
+        tile = K[i:j, i:j]
+        np.copyto(tile, tile.T, where=_strict_lower(j - i))
+
+
+def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
+    """factor_spd over a C-ordered float K that the caller hands over: the factor
+    overwrites it, and its strict lower triangle becomes the mirror."""
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
     if not np.isfinite(K).all():
         raise ValueError("matrix has non-finite entries")
     if not np.isfinite(shift):
         raise ValueError(f"diagonal shift must be finite, got {shift}")
+    _mirror(K)
+    diag = _diagonal(K).copy()
     for extra in (0.0,) + JITTER_LADDER:
+        np.add(diag, shift + extra, out=_diagonal(K))
         try:
-            return SPDFactor(sla.cho_factor(_shifted(K, shift + extra), lower=True,
-                                            overwrite_a=True, check_finite=False), extra)
+            return SPDFactor(sla.cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False),
+                             extra, diag)
         except np.linalg.LinAlgError:
-            continue
+            _mirror(K.T)  # the failed factor wrote over the triangle i <= j
     top = shift + JITTER_LADDER[-1]
-    ev = np.abs(np.linalg.eigvalsh(_shifted(K, top)))  # the lower triangle, as cho_factor reads
+    np.add(diag, top, out=_diagonal(K))
+    ev = np.abs(np.linalg.eigvalsh(K.T))  # the lower triangle, as cho_factor reads
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = ev.max() / ev.min()
     raise IllConditionedError(
         f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
 
 
-def _symmetric_product(K: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """A B by BLAS dsymm, for the symmetric A with A[i, j] = K[i, j], i <= j, the
-    triangle factor_spd reads, and a vector or an (n, k) matrix B."""
+def factor_spd(K, shift: float = 0.0) -> SPDFactor:
+    """Factor K plus shift on the diagonal, once, for many solves.
+
+    Like LAPACK potrf, it reads one triangle of K, the entries K[i, j] with
+    i <= j, and never the other.  It factors one copy of K, so K is left
+    unmodified; before the first try it mirrors that triangle onto the copy's
+    other one, and when Cholesky fails it restores the triangle from the mirror
+    and raises the diagonal by the next JITTER_LADDER rung.
+    """
+    return _factor_in_place(np.array(K, dtype=float, order="C"), shift)
+
+
+def _symmetric_product(K: np.ndarray, B: np.ndarray, upper: bool = True) -> np.ndarray:
+    """A B by BLAS dsymm, for a vector or an (n, k) matrix B and the symmetric A
+    with A[i, j] = K[i, j] on i <= j (upper, the triangle factor_spd reads) or
+    on i >= j, of a C-ordered K."""
     if not len(B):
         return np.zeros(B.shape)  # BLAS's argument check rejects n = 0
-    return sla.blas.dsymm(1.0, K.T, B.reshape(len(B), -1), lower=True).reshape(B.shape)
+    return sla.blas.dsymm(1.0, K.T, B.reshape(len(B), -1), lower=upper).reshape(B.shape)
 
 
 def _training_data(X, y, d: int):
@@ -176,10 +230,9 @@ def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> Regression
     """Kernel-space solve: lambda = (K + (n mu + jitter) I)^{-1} y."""
     X, y = _training_data(X, y, spec.d)
     n = X.shape[0]
-    K = _gram(X, spec, "nn")
-    factor = factor_spd(K, _shift(cfg, n))
+    factor = _factor_in_place(_gram(X, spec, "nn"), _shift(cfg, n))
     coeffs = factor.solve(y)
-    residual = float(np.max(np.abs(_symmetric_product(K, coeffs) - y), initial=0.0))
+    residual = float(np.max(np.abs(factor.product(coeffs) - y), initial=0.0))
     return RegressionModel(kind="dual", X=X, spec=spec, dual_coeffs=coeffs,
                            jitter_used=cfg.jitter + factor.escalation, residual=residual)
 
@@ -194,8 +247,7 @@ def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig 
     X, y = _training_data(X, y, ensemble.spec.d)
     n = X.shape[0]
     F = ensemble.features(X)
-    K_hat = ensemble.scaling * (F @ F.T)
-    factor = factor_spd(K_hat, _shift(cfg, n))
+    factor = _factor_in_place(ensemble.scaling * (F @ F.T), _shift(cfg, n))
     eta = ensemble.scaling * (F.T @ factor.solve(y))
     residual = float(np.max(np.abs(F @ eta - y), initial=0.0))
     return RegressionModel(kind="primal", X=X, ensemble=ensemble, feature_weights=eta,
@@ -209,7 +261,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     where K holds only the conditionally positive distance kernel, on the null
     space of Phi^T (Wahba 1990, ch. 1-2).  With Phi = Q1 R and P = I - Q1 Q1^T,
     M = P K P + c Q1 Q1^T (c = max|K|) is positive definite, block-diagonal over
-    range(Phi), and factor_spd factors it; lambda = (M + s I)^{-1} P y and
+    range(Phi), and it is factored in K's memory; lambda = (M + s I)^{-1} P y and
     R nu = Q1^T (y - K lambda).
     """
     X, y = _training_data(X, y, spec.d)
@@ -240,7 +292,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     S = sla.blas.dgemm(1.0, Q, KQ, trans_a=True) + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly)
     G = KQ - 0.5 * sla.blas.dgemm(1.0, Q, S)
     sla.blas.dsyr2k(-1.0, Q, G, beta=1.0, c=K.T, lower=True, overwrite_c=True)
-    factor = factor_spd(K, shift)
+    factor = _factor_in_place(K, shift)
     del K
     lam = factor.solve(resid)
     lam -= Q @ (Q.T @ lam)

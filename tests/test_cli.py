@@ -7,6 +7,7 @@ import pytest
 
 from splinerf.cli import GRID_POINTS, _refined_grid, main
 from splinerf.features import FourierFeatureMap, NNFeatureMap
+from splinerf.kernels import KernelSpec, kernel_pairs
 from splinerf.regression import SPDFactor
 from splinerf.sampling import RngStream, derive_seed
 
@@ -57,6 +58,22 @@ def test_kernel_eval_malformed_line(tmp_path, monkeypatch, capsys):
     assert "line 2" in err
     _, _, rows = _read_csv(out)
     assert [r[0] for r in rows] == ["1", "3"]  # good lines still evaluated
+
+
+def test_kernel_eval_bad_token_after_good_ones_adds_no_values(tmp_path, monkeypatch, capsys):
+    # a line's tokens all convert before any reaches the pairs, so the good lines
+    # around a bad one keep their own coordinates
+    out = tmp_path / "k.csv"
+    monkeypatch.setattr("sys.stdin", io.StringIO("0.1 0.2\n0.3 0.4 x\n0.5 y\n\n0.7 -0.8\n"))
+    rc = main(["--experiment", "kernel-eval", "--alpha", "1", "--dim", "1", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "line 2: could not convert string to float: 'x'",
+        "line 3: could not convert string to float: 'y'"]
+    _, _, rows = _read_csv(out)
+    assert [r[0] for r in rows] == ["1", "5"]
+    want = kernel_pairs([[0.1], [0.7]], [[0.2], [-0.8]], KernelSpec(1, 1))
+    assert [float(r[1]) for r in rows] == want.tolist()
 
 
 def test_kernel_eval_non_finite_coordinate(tmp_path, monkeypatch, capsys):

@@ -55,6 +55,19 @@ def test_c_alpha_d3():
     assert abs(c_alpha(KernelSpec(0, 3)) + 0.25 * sphere_moment("abs_odd", e1, 0)) < 1e-15
 
 
+@pytest.mark.parametrize("d", range(1, 7))
+def test_c_alpha_is_correctly_rounded_against_mpmath(d):
+    # c = (-1)^(alpha + 1) alpha!^3 / (2 alpha + 1)! Gamma(d/2) / Gamma(d/2 + 1/2 + alpha)
+    # / (4 sqrt(pi)) at 200 bits, within one unit of 2^-53 relative
+    with mpmath.workprec(200):
+        half = mpmath.mpf(d) / 2
+        for alpha in range(31):
+            want = ((-1) ** (alpha + 1) * mpmath.factorial(alpha) ** 3 / mpmath.factorial(2 * alpha + 1)
+                    * mpmath.gamma(half) / mpmath.gamma(half + 0.5 + alpha) / (4 * mpmath.sqrt(mpmath.pi)))
+            got = c_alpha(KernelSpec(alpha, d))
+            assert abs((mpmath.mpf(got) - want) / want) <= mpmath.mpf(2) ** -53, alpha
+
+
 def test_k1_pol_alpha1_formula():
     rng = np.random.default_rng(0)
     for _ in range(5):
@@ -390,16 +403,19 @@ def test_distance_term_vanishes_on_the_diagonal(ball_points_d3):
 
 
 def test_scipy_spatial_is_never_imported(tmp_path):
+    # nor scipy.special: c_alpha needs no Gamma function, and the import costs RSS and time
     script = f"""
 import sys
 import numpy as np
 from splinerf.cli import main
 from splinerf.kernels import KernelSpec, distance_kernel_matrix, kernel_matrix, kernel_pairs
+from splinerf.regression import fit_constrained_spline, fit_dual
 X = np.random.default_rng(0).uniform(-0.5, 0.5, (20, 3))
 spec = KernelSpec(1, 3)
 kernel_matrix(X, X, spec), kernel_pairs(X, X, spec), distance_kernel_matrix(X, X, spec)
+fit_dual(X, X[:, 0], spec), fit_constrained_spline(X, X[:, 0], spec)
 assert main(["--experiment", "fig3", "--n", "64", "--out", {str(tmp_path / "fig3.csv")!r}]) == 0
-print(sorted(name for name in sys.modules if name.startswith("scipy.spatial")))
+print(sorted(name for name in sys.modules if name.startswith(("scipy.spatial", "scipy.special"))))
 """
     src = str(pathlib.Path(__file__).parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

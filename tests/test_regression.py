@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 import warnings
 
@@ -409,6 +410,27 @@ def test_fits_and_streamed_predict_peak_memory():
         assert K.flags.c_contiguous
 
 
+@pytest.mark.parametrize("n", [600, 1000])
+def test_fits_hold_one_kernel_matrix(n):
+    # each fit factors its Gram in the Gram's own memory: one n x n float array, not the
+    # Gram and a factor copy; the rest of the peak is the finiteness check's n x n bools
+    # and the Gram's two row-block buffers
+    rng = np.random.default_rng(91)
+    spec = KernelSpec(3, 3, 1.0)
+    X = rng.uniform(-0.7, 0.7, (n, 3))
+    y = rng.standard_normal(n)
+    for kind in ("dual", "constrained_spline"):
+        _fit(kind, X[:40], y[:40], spec)  # warm every cache outside the window
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _fit(kind, X, y, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * n ** 2, kind
+
+
 def test_constrained_degenerate_design():
     spec = KernelSpec(1, 2, 1.0)
     with pytest.raises(DegenerateDesignError):
@@ -568,6 +590,53 @@ def test_factor_spd_escalates_and_fit_reports_the_rung():
     assert fit_dual(X, np.ones(5), spec).jitter_used == rung_half
     model = fit_dual(X, np.ones(5), spec, FitConfig(jitter=1e-13))
     assert model.jitter_used == 1e-13 + factor_spd(kernel_matrix(X, X, spec), 1e-13).escalation
+
+
+@pytest.mark.parametrize("R, rung", [(10.0, 1e-9), (30.0, 1e-6)])
+def test_fit_dual_escalates_on_a_restored_gram(R, rung):
+    # ten repeated points make the Gram singular: the unshifted factor fails, and each
+    # failed rung is retried on the triangle restored from the mirror, so the factor that
+    # succeeds is the one of the original matrix plus the rung, bit for bit
+    rng = np.random.default_rng(92)
+    spec = KernelSpec(3, 3, R)
+    X = rng.uniform(-0.6 * R, 0.6 * R, (30, 3))
+    X = np.vstack([X, X[:10]])
+    y = rng.standard_normal(40)
+    K = kernel_matrix(X, X, spec)
+    factor = factor_spd(K)
+    assert factor.escalation == rung
+    model = fit_dual(X, y, spec)
+    assert model.jitter_used == rung
+    assert np.array_equal(model.dual_coeffs, factor.solve(y))
+    assert np.array_equal(model.dual_coeffs, _inline_cholesky_solve(K, rung, y))
+
+
+def test_factor_spd_condition_estimate_reads_the_restored_matrix():
+    # every rung fails; the estimate is of the matrix the rungs factored, not of K's
+    # strict lower triangle or of a failed factor's leftovers
+    K = -np.ones((4, 4)) - np.diag([0.0, 1.0, 2.0, 3.0])
+    K[np.tril_indices(4, -1)] = 7.0
+    top = 1e-3 + JITTER_LADDER[-1]
+    ev = np.abs(np.linalg.eigvalsh(_mirrored(K) + top * np.eye(4)))
+    message = f"condition estimate {ev.max() / ev.min():.3e}"
+    with pytest.raises(IllConditionedError, match=re.escape(message)):
+        factor_spd(K, 1e-3)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_spd_factor_product_is_the_unshifted_matrix_product(k):
+    rng = np.random.default_rng(93)
+    K = _alpha3_gram(rng)
+    B = rng.standard_normal(60) if k is None else rng.standard_normal((60, k))
+    factor = factor_spd(K, 1e-3)
+    before = factor.solve(B)
+    got = factor.product(B)
+    assert got.shape == B.shape
+    A = _mirrored(K)
+    bound = 60 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
+    assert np.all(np.abs(got - A @ B) <= bound)
+    assert np.array_equal(factor.solve(B), before)
+    assert np.array_equal(factor.product(B), got)
 
 
 def test_factor_spd_rejects_bad_matrices():
