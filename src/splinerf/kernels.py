@@ -11,6 +11,12 @@ differences in one helper, so the distance term is exactly 0 at x = y, and
 SciPy's spatial and special modules are never imported.  Cross kernels are
 built a row block at a time by one generator, which regression.predict also
 streams, so a prediction never holds an (n_test, n) matrix.
+
+Every BLAS call here and on regression's kernel paths goes through scipy.linalg,
+never numpy's own OpenBLAS (see regression's docstring for why).  A product is
+_product, which makes the column-major call that numpy's row-major matmul
+makes, so at one thread it has numpy's bits; at more, the two OpenBLAS builds
+may split a larger dgemm differently.
 """
 
 from __future__ import annotations
@@ -162,6 +168,69 @@ def _as_points(X, d: int) -> np.ndarray:
     return X
 
 
+MIRROR_TILE = 128  # rows per tile of a triangle mirror
+
+
+@lru_cache(maxsize=8)
+def _strict_lower(size: int) -> np.ndarray:
+    """Read-only mask of a size x size tile's strict lower triangle, shared by every mirror."""
+    mask = np.tri(size, k=-1, dtype=bool)
+    mask.setflags(write=False)
+    return mask
+
+
+def _mirror(K: np.ndarray) -> None:
+    """Copy the strict upper triangle of a square K onto its strict lower one, a tile of
+    MIRROR_TILE rows at a time; on the view K.T, this copies the lower one back."""
+    n = len(K)
+    for i in range(0, n, MIRROR_TILE):
+        j = min(i + MIRROR_TILE, n)
+        K[i:j, :i] = K[:i, i:j].T
+        tile = K[i:j, i:j]
+        np.copyto(tile, tile.T, where=_strict_lower(j - i))
+
+
+def _fortran(A: np.ndarray):
+    """A 2-D A as its own Fortran view and whether that view is A's transpose: A.T of a
+    C-ordered A, else A, so f2py copies nothing (a copy changes the call, and the bits)."""
+    return (A.T, True) if A.flags.c_contiguous else (A, False)
+
+
+def _gemv(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
+    a, transposed = _fortran(A)
+    blas.dgemv(1.0, a, x, y=out, overwrite_y=True, trans=transposed)
+
+
+def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """A @ B for a 2-D A and a vector or 2-D B by scipy's BLAS, into out (C-ordered, of
+    the product's shape) if given.
+
+    It makes the column-major call that numpy's row-major matmul makes, so at one thread
+    its bits are matmul's: ddot for a 1 x 1 product, dgemv when A is one row or B one
+    column, dsyrk and a mirror for a matrix times its own transpose, else dgemm on
+    (A B)^T = B^T A^T.
+    """
+    (m, n), p = A.shape, B.shape[1] if B.ndim == 2 else 1
+    out = np.empty((m,) + B.shape[1:]) if out is None else out
+    if not out.size or not n:  # BLAS rejects an empty operand
+        out[...] = 0.0
+    elif m == 1 and p == 1:
+        out.reshape(-1)[0] = blas.ddot(A[0], B.reshape(-1))
+    elif p == 1:
+        _gemv(A, B.reshape(-1), out.reshape(-1))
+    elif m == 1:
+        _gemv(B.T, A[0], out.reshape(-1))
+    elif A.shape == B.T.shape and A.strides == B.T.strides and A.ctypes.data == B.ctypes.data:
+        a, transposed = _fortran(A)
+        blas.dsyrk(1.0, a, trans=transposed, lower=True, c=out.T, overwrite_c=True)
+        _mirror(out)
+    else:
+        (b, b_transposed), (a, a_transposed) = _fortran(B), _fortran(A)
+        blas.dgemm(1.0, b, a, trans_a=not b_transposed, trans_b=not a_transposed,
+                   c=out.T, overwrite_c=True)
+    return out
+
+
 def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
     R2 = spec.R ** 2
     s2x = sq_x + R2
@@ -280,7 +349,7 @@ def kernel_pairs(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
         return _arccos_from_products(np.einsum("ij,ij->i", Xa, Xa), np.einsum("ij,ij->i", Xb, Xb),
                                      np.einsum("ij,ij->i", Xa, Xb), spec)
     E, C = _pol_coefficients(spec)
-    pol = np.einsum("ij,ij->i", monomial_matrix(Xa, E) @ C, monomial_matrix(Xb, E))
+    pol = np.einsum("ij,ij->i", _product(monomial_matrix(Xa, E), C), monomial_matrix(Xb, E))
     if kind == "pol_only":
         return pol
     return pol + _distance_term(Xa, Xb, spec)
@@ -302,7 +371,7 @@ def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     if kind == "arccos":
         sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
         sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
-        return np.asarray(_arccos_from_products(sq_a, sq_b, Xa @ Xb.T, spec))
+        return np.asarray(_arccos_from_products(sq_a, sq_b, _product(Xa, Xb.T), spec))
     return _assembled(Xa, Xb, spec, kind)
 
 

@@ -6,25 +6,31 @@ hands the n x n matrix it built to that path, which factors it in the matrix's
 own memory and keeps the matrix itself in the triangle the factor does not use,
 so a fit holds one n x n array; factor_spd is the same path on a copy.
 
-One BLAS pool before every factor: numpy and scipy each load their own
-OpenBLAS, and a pool's workers keep spinning for about 0.1 s after a call.  On a
-2-vCPU Xeon VM a 2000 x 2000 cho_factor at 2 threads took 55 ms when idle or
-right after a scipy dgemm, and 111 ms right after a numpy matmul.  So the n-sized
-BLAS-3 and LAPACK calls that run before a factor (the kernel's polynomial
-part, the QR of the constraint, the products with K) go through scipy.linalg,
-the library that factors; do not put a numpy matmul in front of a factor.
+One BLAS on the kernel paths: numpy and scipy each load their own OpenBLAS, a
+pool's workers keep spinning for about 0.1 s after a call, and each library
+touches its own packing buffers (3.4 MiB each on a first 20000 x 20 by 20 x 20
+product, kernel-eval's).  On a 2-vCPU Xeon VM a 2000 x 2000 cho_factor at 2
+threads took 55 ms when idle or right after a scipy dgemm, and 111 ms right
+after a numpy matmul.  So every BLAS and LAPACK call of the factor path, the
+kernel fits and the dual and spline predictions goes through scipy.linalg, the
+library that factors, and each product through kernels._product, which makes
+the call numpy's matmul makes; the factor checks K's finiteness a tile of rows
+at a time, never with an n x n mask.  The feature space (fit_primal, the primal
+predict and the feature maps) keeps numpy's matmul: moved to scipy it kept
+fig1's and fig2's bytes and their peak RSS, and fig2 was no faster (0.747 s
+against 0.733 s in process).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import scipy.linalg as sla
 
 from .features import FourierFeatureMap, NNFeatureMap
-from .kernels import KernelSpec, _as_points, _gram, _kernel_rows, monomial_exponents, monomial_matrix
+from .kernels import (MIRROR_TILE, KernelSpec, _as_points, _gram, _kernel_rows, _mirror, _product,
+                      monomial_exponents, monomial_matrix)
 
 __all__ = [
     "IllConditionedError",
@@ -133,31 +139,9 @@ class SPDFactor:
             _diagonal(K)[...] = factor_diag
 
 
-MIRROR_TILE = 128  # rows per tile of the triangle mirror
-
-
 def _diagonal(K: np.ndarray) -> np.ndarray:
     """Writable view of the diagonal of a C-ordered square K."""
     return K.reshape(-1)[::len(K) + 1]
-
-
-@lru_cache(maxsize=8)
-def _strict_lower(size: int) -> np.ndarray:
-    """Read-only mask of a size x size tile's strict lower triangle, shared by every mirror."""
-    mask = np.tri(size, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def _mirror(K: np.ndarray) -> None:
-    """Copy the strict upper triangle of a square K onto its strict lower one, a tile of
-    MIRROR_TILE rows at a time; on the view K.T, this copies the lower one back."""
-    n = len(K)
-    for i in range(0, n, MIRROR_TILE):
-        j = min(i + MIRROR_TILE, n)
-        K[i:j, :i] = K[:i, i:j].T
-        tile = K[i:j, i:j]
-        np.copyto(tile, tile.T, where=_strict_lower(j - i))
 
 
 def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
@@ -165,8 +149,9 @@ def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
     overwrites it, and its strict lower triangle becomes the mirror."""
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    if not np.isfinite(K).all():
-        raise ValueError("matrix has non-finite entries")
+    for i in range(0, len(K), MIRROR_TILE):  # a tile of rows at a time: no n x n mask
+        if not np.isfinite(K[i:i + MIRROR_TILE]).all():
+            raise ValueError("matrix has non-finite entries")
     if not np.isfinite(shift):
         raise ValueError(f"diagonal shift must be finite, got {shift}")
     _mirror(K)
@@ -176,11 +161,11 @@ def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
         try:
             return SPDFactor(sla.cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False),
                              extra, diag)
-        except np.linalg.LinAlgError:
+        except sla.LinAlgError:
             _mirror(K.T)  # the failed factor wrote over the triangle i <= j
     top = shift + JITTER_LADDER[-1]
     np.add(diag, top, out=_diagonal(K))
-    ev = np.abs(np.linalg.eigvalsh(K.T))  # the lower triangle, as cho_factor reads
+    ev = np.abs(sla.eigvalsh(K.T, check_finite=False))  # the lower triangle, as cho_factor reads
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = ev.max() / ev.min()
     raise IllConditionedError(
@@ -272,7 +257,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
         raise DegenerateDesignError(
             f"need at least {n_poly} points to pin the degree-{spec.alpha} polynomial block")
     Q, R = sla.qr(Phi, mode="economic", check_finite=False)
-    sv = np.linalg.svd(R, compute_uv=False)  # the singular values of Phi
+    sv = sla.svdvals(R, check_finite=False)  # the singular values of Phi
     if sv[-1] <= n * np.finfo(float).eps * sv[0]:
         raise DegenerateDesignError("monomial design matrix is rank deficient")
     shift = n * cfg.mu + cfg.jitter
@@ -280,10 +265,10 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
         raise IllConditionedError("repeated training points make the unshifted system singular")
     # least-squares residual y - Phi nu in extended precision (one step of residual
     # refinement), split into its parts in range(Phi) and in the null space of Phi^T
-    nu = sla.solve_triangular(R, Q.T @ y)
+    nu = sla.solve_triangular(R, _product(Q.T, y))
     resid = np.asarray(y - Phi.astype(np.longdouble) @ nu, dtype=float)
-    resid_q = Q.T @ resid
-    resid -= Q @ resid_q
+    resid_q = _product(Q.T, resid)
+    resid -= _product(Q, resid_q)
     # _gram's K has the kernel's K.max() and K.min(), and M = K - Q1 G^T - G Q1^T with
     # G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one rank-2r dsyr2k update of its triangle
     # i <= j, the lower triangle of its Fortran view K.T, over K's own memory
@@ -295,9 +280,9 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     factor = _factor_in_place(K, shift)
     del K
     lam = factor.solve(resid)
-    lam -= Q @ (Q.T @ lam)
+    lam -= _product(Q, _product(Q.T, lam))
     # Phi^T lambda = 0, so the shift term of the first block row drops out of Q1^T
-    nu += sla.solve_triangular(R, resid_q - KQ.T @ lam)
+    nu += sla.solve_triangular(R, resid_q - _product(KQ.T, lam))
     model = RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
                             poly_coeffs=nu, jitter_used=cfg.jitter + factor.escalation)
     del factor  # the training misfit against K itself, streamed, without M or its factor alive
@@ -317,8 +302,8 @@ def predict(model: RegressionModel, Xtest) -> np.ndarray:
     out = np.empty((len(Xtest),) + model.dual_coeffs.shape[1:])
     kind = "nn" if model.kind == "dual" else "distance"
     for i, block in _kernel_rows(Xtest, model.X, model.spec, kind):
-        np.matmul(block, model.dual_coeffs, out=out[i:i + len(block)])
+        _product(block, model.dual_coeffs, out[i:i + len(block)])
     if model.kind == "constrained_spline":
         Phi = monomial_matrix(Xtest, monomial_exponents(model.spec.d, model.spec.alpha))
-        out += Phi @ model.poly_coeffs
+        out += _product(Phi, model.poly_coeffs)
     return out

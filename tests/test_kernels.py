@@ -1,3 +1,4 @@
+import ast
 import functools
 import math
 import os
@@ -9,6 +10,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from oracles import (distance_term_reference, k1_pol, mc_arccos_kernel, mc_nn_kernel,
                      nn_kernel_quadrature, pol_kernel_gaussian)
@@ -30,7 +32,10 @@ from splinerf.kernels import (
     rkhs_norm_1d,
     _distance_term,
     _gram,
+    _product,
 )
+import splinerf.kernels
+import splinerf.regression
 from splinerf.sampling import RngStream
 
 
@@ -646,3 +651,89 @@ def test_monomial_matrix_is_accurate_against_mpmath(d):
             for k, e in enumerate(exps):
                 want = mpmath.fprod(mpmath.mpf(v) ** p for v, p in zip(x, e))
                 assert abs(mpmath.mpf(M[i, k]) - want) <= sum(e) * np.finfo(float).eps * abs(want)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3, 4, 5, 16, 17, 2000])
+@pytest.mark.parametrize("k", [None, 1, 3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_product_is_numpy_matmul_bit_for_bit(rows, k, order):
+    # OpenBLAS's dgemv takes rows 4 at a time and its dgemm has a small-matrix kernel, and
+    # the product goes through scipy's OpenBLAS, not numpy's; it makes numpy's calls, so the
+    # bits are numpy's for either layout of either operand.  (With hundreds of output
+    # columns, the two builds may split a dgemm differently at 2 threads, and round apart.)
+    rng = np.random.default_rng(150 + rows)
+    A = np.asarray(rng.standard_normal((rows, 300)), order=order)
+    B = rng.standard_normal(300) if k is None else rng.standard_normal((300, k))
+    for b in (B, np.asfortranarray(B)) if k else (B,):
+        want = A @ b
+        got = _product(A, b)
+        assert got.shape == want.shape and np.array_equal(got, want)
+        out = np.full_like(want, np.nan)  # written through, never read
+        assert _product(A, b, out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("k", [None, 3])
+def test_product_of_a_symmetric_product_is_numpy_matmul_bit_for_bit(k):
+    # fit_constrained_spline's K Q comes out of dsymm F-ordered, and its transpose is C-ordered
+    rng = np.random.default_rng(160)
+    S = rng.standard_normal((300, 300))
+    KQ = sla.blas.dsymm(1.0, S + S.T, rng.standard_normal((300, 20)))
+    assert KQ.flags.f_contiguous
+    x = rng.standard_normal(20) if k is None else rng.standard_normal((20, k))
+    lam = rng.standard_normal(300) if k is None else rng.standard_normal((300, k))
+    assert np.array_equal(_product(KQ, x), KQ @ x)
+    assert np.array_equal(_product(KQ.T, lam), KQ.T @ lam)
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("d", [1, 3, 8])
+def test_product_of_a_matrix_and_its_transpose_is_numpy_matmul_bit_for_bit(order, d):
+    # numpy computes X X^T by dsyrk and mirrors the triangle, which rounds unlike dgemm
+    X = np.asarray(np.random.default_rng(170 + d).uniform(-0.7, 0.7, (100, d)), order=order)
+    assert np.array_equal(_product(X, X.T), X @ X.T)
+    assert np.array_equal(_product(X, X.copy().T), X @ X.copy().T)
+
+
+_NUMPY_BLAS_METHODS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+
+
+def _numpy_blas_lines(node):
+    """Lines under node that reach numpy's BLAS or LAPACK: @, np.matmul, np.dot or any
+    np.linalg call; not @ on long doubles, which numpy multiplies in its own loop, and not
+    predict's primal branch, which is feature space."""
+    if isinstance(node, ast.If) and ast.unparse(node.test) == "model.kind == 'primal'":
+        children = [node.test, *node.orelse]
+    else:
+        children = list(ast.iter_child_nodes(node))
+    lines = [line for child in children for line in _numpy_blas_lines(child)]
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+        if "longdouble" not in ast.unparse(node.left if isinstance(node, ast.BinOp) else node.target):
+            lines.append(node.lineno)
+    elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and (
+            node.func.attr in _NUMPY_BLAS_METHODS
+            or ast.unparse(node.func).startswith(("np.linalg.", "numpy.linalg."))):
+        lines.append(node.lineno)
+    return lines
+
+
+def _kernel_space_functions():
+    """Every function and method of kernels.py, and of regression.py but fit_primal."""
+    for module in (splinerf.kernels, splinerf.regression):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name != "fit_primal":
+                yield f"{module.__name__}.{node.name}", node
+
+
+def test_kernel_paths_make_no_numpy_blas_call():
+    # the kernel paths run on scipy's OpenBLAS alone (kernels._product for a product):
+    # a call on numpy's starts its thread pool and allocates its buffers
+    assert _numpy_blas_lines(ast.parse("a @ b\nx @= y\nnp.linalg.eigvalsh(a)\nnp.dot(a, b)\n"
+                                       "a.dot(b)\np.astype(np.longdouble) @ q")) == [1, 2, 3, 4, 5]
+    functions = dict(_kernel_space_functions())
+    for name in ("kernel_pairs", "kernel_matrix", "_kernel_rows"):
+        assert f"splinerf.kernels.{name}" in functions
+    for name in ("_factor_in_place", "fit_dual", "fit_constrained_spline", "predict", "product"):
+        assert f"splinerf.regression.{name}" in functions
+    found = {name: lines for name, node in functions.items() if (lines := _numpy_blas_lines(node))}
+    assert found == {}
