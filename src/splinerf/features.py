@@ -21,6 +21,8 @@ __all__ = [
     "approx_kernel",
 ]
 
+GRID_CHUNK = 256  # frequencies per FourierFeatureMap.grid_apply GEMM: temporaries independent of m
+
 
 @dataclass(frozen=True)
 class NNFeatureMap:
@@ -110,34 +112,30 @@ class FourierFeatureMap:
         return out
 
     def grid_apply(self, weights, n: int) -> np.ndarray:
-        """features(-R + k step for k < n) @ weights, step = 2R / (n - 1), for d = 1 only.
+        """features(-R + r h for r < n) @ weights, h = 2R / (n - 1), for d = 1 only.
 
-        The grid is cut into blocks of b rows, b the power of two at or above
-        sqrt(n).  Row j of the block that starts at s has phase omega s + omega j step,
-        so its cos and sin are those of e^{i omega s} e^{i omega j step}, one
-        complex product of a block-start and an offset phasor (angle addition):
-        O(sqrt(n) m) cos/sin calls instead of n m.  A complex block read as
-        floats holds each frequency's cos and sin side by side, so the weights
-        are interleaved to match.  Each block is multiplied by them as it is
-        built: no (n, 2m) array exists and the temporaries are O(sqrt(n) m).
-        """
+        Row r = p b + q (b a power of two near sqrt(n k), k labels) has phasor S_p O_q,
+        S_p = e^{i omega (-R + p b h)}, O_q = e^{i omega q h}, and value Re(O_q D_p), D_p =
+        S_p (a - i c) for cos and sin weights a, c.  Per frequency: about log2(n) + 1 cos/sin,
+        b + P - 2 complex products by doubling (P = ceil(n / b)), P k for D, and 4 n k flops
+        in one GEMM per GRID_CHUNK frequencies; temporaries O(GRID_CHUNK (b + P k))."""
         weights, start, step = _check_grid(self.spec, 2 * self.m, weights, n)
-        b = 1
-        while b * b < n:
+        W, omegas, m = weights.reshape(2 * self.m, -1), self.omegas[:, 0], self.m
+        k, b = W.shape[1], 1
+        while b < n and b * b < n * max(k, 1):
             b *= 2
-        omegas, m = self.omegas[:, 0], self.m
-        starts = _phasors(np.multiply.outer(start + np.arange(0, n, b) * step, omegas))
-        offsets = _phasors(np.multiply.outer(np.arange(b) * step, omegas))
-        interleaved = np.empty_like(weights)
-        interleaved[0::2], interleaved[1::2] = weights[:m], weights[m:]
-        out = np.empty((n,) + weights.shape[1:])
-        block = np.empty_like(offsets)
-        for i, z in enumerate(starts):
-            rows = slice(i * b, min(n, (i + 1) * b))
-            k = rows.stop - rows.start
-            np.multiply(offsets[:k], z, out=block[:k])
-            np.matmul(block[:k].view(float), interleaved, out=out[rows])
-        return out
+        P, log_b = -(-n // b), (b - 1).bit_length()
+        spacings = np.append(start, step * 2.0 ** np.arange(log_b + (P - 1).bit_length()))
+        acc = np.zeros((b, P * k))
+        for lo in range(0, m, GRID_CHUNK):
+            w, hi = omegas[lo:lo + GRID_CHUNK], min(m, lo + GRID_CHUNK)
+            direct = np.exp(1j * np.multiply.outer(spacings, w))  # at -R, then h, 2h, 4h, ...
+            offsets = _doubled(np.ones_like(direct[0]), direct[1:log_b + 1], b)
+            conj_d = np.empty((k, hi - lo), dtype=complex)  # conj(D) = conj(S) (a + i c)
+            conj_d.real, conj_d.imag = W[lo:hi].T, W[m + lo:m + hi].T
+            conj_d = np.conj(_doubled(direct[0], direct[log_b + 1:], P))[:, None, :] * conj_d
+            acc += offsets.view(float) @ conj_d.view(float).reshape(P * k, 2 * (hi - lo)).T  # Re(O D)
+        return acc.reshape(b, P, k).transpose(1, 0, 2).reshape(b * P, k)[:n].reshape((n,) + weights.shape[1:])
 
 
 def _check_parameters(spec: KernelSpec, values, directions) -> None:
@@ -159,11 +157,13 @@ def _check_grid(spec: KernelSpec, columns: int, weights, n: int):
     return weights, -spec.R, 2 * spec.R / max(n - 1, 1)
 
 
-def _phasors(phase: np.ndarray) -> np.ndarray:
-    """e^{i phase}, built from cos(phase) and sin(phase)."""
-    z = np.empty(phase.shape, dtype=complex)
-    z.real, z.imag = np.cos(phase), np.sin(phase)
-    return z
+def _doubled(first, factors, rows: int) -> np.ndarray:
+    """Rows first prod_{2^j in r} factors[j], r < rows: row 2^j + r is row r times factors[j]."""
+    out = np.empty((rows, len(first)), dtype=complex)
+    out[0] = first
+    for j, factor in enumerate(factors):
+        np.multiply(out[:min(2 ** j, rows - 2 ** j)], factor, out=out[2 ** j:2 ** (j + 1)])
+    return out
 
 
 def sample_nn_ensemble(spec: KernelSpec, m: int, stream: RngStream) -> NNFeatureMap:

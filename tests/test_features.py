@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import types
 
 import numpy as np
@@ -213,19 +214,43 @@ def heavy_tailed_fourier_map():
     return ens
 
 
-@pytest.mark.parametrize("k", [None, 3])
-@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 511, 512, 513])
+# k = 20 (fig2's labels) cuts the grid into larger blocks than a vector does, and
+# n = 1000 and 4097 leave the last block short.
+@pytest.mark.parametrize("k", [None, 1, 3, 20])
+@pytest.mark.parametrize("n", [1, 2, 31, 32, 33, 511, 512, 513, 1000, 4097])
 def test_grid_apply_matches_features(heavy_tailed_fourier_map, n, k):
     ens, R = heavy_tailed_fourier_map, 1.0
     W = np.random.default_rng(n).standard_normal((2 * ens.m,) if k is None else (2 * ens.m, k))
-    start, step = -R, 2 * R / max(n - 1, 1)
+    t = -R + 2 * R / max(n - 1, 1) * np.arange(n)[:, None]
     got = ens.grid_apply(W, n)
-    ref = ens.features(start + step * np.arange(n)[:, None]) @ W
+    ref = np.concatenate([ens.features(t[i:i + 512]) @ W for i in range(0, n, 512)])
     assert got.shape == ref.shape
     # Both phases round omega * t, |t| <= R, to within a few ulp of max|omega| R, so each
     # feature entry differs by that much and each output row by that times sum |W|.
     bound = 4 * np.finfo(float).eps * (1 + np.abs(ens.omegas).max() * R)
     np.testing.assert_array_less(np.abs(got - ref), np.broadcast_to(bound * np.abs(W).sum(axis=0), got.shape))
+
+
+def test_grid_apply_of_no_labels(heavy_tailed_fourier_map, step_map):
+    for ens, columns in ((heavy_tailed_fourier_map, 2 * heavy_tailed_fourier_map.m), (step_map, step_map.m)):
+        for n in (1, 512, 1000):
+            assert ens.grid_apply(np.zeros((columns, 0)), n).shape == (n, 0)
+
+
+@pytest.mark.parametrize("m", [2048, 8192])
+def test_fourier_grid_apply_peak_memory_does_not_grow_with_m(m):
+    # fig2's call: 512 grid points, 20 labels.  The temporaries hold one chunk of
+    # frequencies at a time, about 1.6 MiB at both m.
+    ens = sample_fourier_ensemble(KernelSpec(0, 1, 1.0), m, RngStream(9))
+    W = np.random.default_rng(10).standard_normal((2 * m, 20))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        ens.grid_apply(W, 512)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 2 ** 20
 
 
 def test_grid_apply_rejects_bad_grids(heavy_tailed_fourier_map):
