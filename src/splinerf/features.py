@@ -7,6 +7,7 @@ one row per point; k_hat(x, y) = scaling * <phi(x), phi(y)>.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class NNFeatureMap:
         features of one sign on at t are a prefix of them in -b order (searchsorted):
         f(t) is two prefix sums of the weights, O(m log m + (n + m) k), no (n, m) array.
         """
-        weights, start, step = _check_grid(self.spec, self.m, weights, n)
+        weights, n, start, step = _check_grid(self.spec, self.m, weights, n)
         w, b = self.directions[:, 0], self.biases
         if not np.all(np.abs(w) == 1.0):
             raise ValueError("grid_apply needs every direction to be exactly +1 or -1")
@@ -119,7 +120,7 @@ class FourierFeatureMap:
         S_p (a - i c) for cos and sin weights a, c.  Per frequency: about log2(n) + 1 cos/sin,
         b + P - 2 complex products by doubling (P = ceil(n / b)), P k for D, and 4 n k flops
         in one GEMM per GRID_CHUNK frequencies; temporaries O(GRID_CHUNK (b + P k))."""
-        weights, start, step = _check_grid(self.spec, 2 * self.m, weights, n)
+        weights, n, start, step = _check_grid(self.spec, 2 * self.m, weights, n)
         W, omegas, m = weights.reshape(2 * self.m, -1), self.omegas[:, 0], self.m
         k, b = W.shape[1], 1
         while b < n and b * b < n * max(k, 1):
@@ -146,15 +147,15 @@ def _check_parameters(spec: KernelSpec, values, directions) -> None:
 
 
 def _check_grid(spec: KernelSpec, columns: int, weights, n: int):
-    """The checks of both maps' grid_apply; returns float weights and the grid's start and step."""
+    """The checks of both maps' grid_apply; returns float weights, int n and the grid's start and step."""
     if spec.d != 1 or spec.alpha != 0:
         raise ValueError(f"grid_apply needs d = 1 and alpha = 0, got d = {spec.d}, alpha = {spec.alpha}")
-    if n < 1:
-        raise ValueError(f"grid_apply needs at least one point, got n = {n}")
+    if not isinstance(n, Integral) or n < 1:  # numpy integers are Integral too; a float is not
+        raise ValueError(f"grid_apply needs an integer n, at least one point, got n = {n!r}")
     weights = np.asarray(weights, dtype=float)
     if weights.ndim not in (1, 2) or len(weights) != columns:
         raise ValueError(f"weights must have shape ({columns},) or ({columns}, k), got {weights.shape}")
-    return weights, -spec.R, 2 * spec.R / max(n - 1, 1)
+    return weights, int(n), -spec.R, 2 * spec.R / max(n - 1, 1)
 
 
 def _doubled(first, factors, rows: int) -> np.ndarray:

@@ -13,10 +13,10 @@ built a row block at a time by one generator, which regression.predict also
 streams, so a prediction never holds an (n_test, n) matrix.
 
 Every BLAS call here and on regression's kernel paths goes through scipy.linalg,
-never numpy's own OpenBLAS (see regression's docstring for why).  A product is
-_product, which makes the column-major call that numpy's row-major matmul
-makes, so at one thread it has numpy's bits; at more, the two OpenBLAS builds
-may split a larger dgemm differently.
+never numpy's own OpenBLAS (see regression's docstring for why), and _product is
+the one place that maps a row-major product onto column-major BLAS: it makes the
+call numpy's matmul makes, so at one thread it has numpy's bits; at more, the two
+OpenBLAS builds may split a larger dgemm differently.
 """
 
 from __future__ import annotations
@@ -179,15 +179,17 @@ def _strict_lower(size: int) -> np.ndarray:
     return mask
 
 
-def _mirror(K: np.ndarray) -> None:
-    """Copy the strict upper triangle of a square K onto its strict lower one, a tile of
-    MIRROR_TILE rows at a time; on the view K.T, this copies the lower one back."""
-    n = len(K)
+def _mirror(K: np.ndarray) -> bool:
+    """Copy a square K's strict upper triangle onto its strict lower one (on K.T, the lower one
+    back) a tile of MIRROR_TILE rows at a time; True if each band is finite once written."""
+    n, finite = len(K), True
     for i in range(0, n, MIRROR_TILE):
         j = min(i + MIRROR_TILE, n)
         K[i:j, :i] = K[:i, i:j].T
         tile = K[i:j, i:j]
         np.copyto(tile, tile.T, where=_strict_lower(j - i))
+        finite = finite and bool(np.isfinite(K[i:j]).all())
+    return finite
 
 
 def _fortran(A: np.ndarray):
@@ -295,21 +297,19 @@ def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = Fa
     step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, nb))
     buf = np.empty((min(step, na), nb)) if out is None else None
     if kind != "distance":
-        # each block's F-ordered transpose M(Xb) (C M(Xa)^T)[:, rows], by scipy's BLAS,
-        # the one that factors (see regression's one-pool rule), written in place
+        # each block is (M(Xa) C)[rows] M(Xb)^T, written in place
         E, C = _pol_coefficients(spec)
-        Mb = monomial_matrix(Xb, E)
-        CMa = blas.dgemm(1.0, C, monomial_matrix(Xa, E).T)
+        MaC, MbT = _product(monomial_matrix(Xa, E), C), monomial_matrix(Xb, E).T
     # coordinate-contiguous copies, so each coordinate difference reads contiguous memory
     A, B = np.ascontiguousarray(Xa.T).T, np.ascontiguousarray(Xb.T).T
     dist, tmp = np.empty((2, min(step, na) * nb))
     for i in range(0, na, step):
         rows = min(step, na - i)
         block = buf[:rows] if out is None else out[i:i + rows]
-        if kind == "distance" or not nb:  # BLAS rejects an empty output
+        if kind == "distance":
             block[...] = 0.0
         else:
-            blas.dgemm(1.0, Mb.T, CMa[:, i:i + rows], trans_a=True, c=block.T, overwrite_c=True)
+            _product(MaC[i:i + rows], MbT, block)
         if kind != "pol_only":
             j = min(i, nb) if upper else 0
             shape = (rows, nb - j)
@@ -427,6 +427,8 @@ def rkhs_norm_1d(profile: Derivative1DProfile, alpha: int, R: float) -> float:
     k(., y) equals k(y, y).
     """
     _check_radius(R)
+    if profile.grid[0] != -R or profile.grid[-1] != R:  # one norm never mixes two radii
+        raise ValueError(f"profile grid spans [{profile.grid[0]}, {profile.grid[-1]}], not [{-R}, {R}]")
     if alpha not in (0, 1):
         raise UnsupportedOrderError(
             f"explicit boundary quadratic form only known for alpha <= 1, got {alpha}")

@@ -13,12 +13,11 @@ product, kernel-eval's).  On a 2-vCPU Xeon VM a 2000 x 2000 cho_factor at 2
 threads took 55 ms when idle or right after a scipy dgemm, and 111 ms right
 after a numpy matmul.  So every BLAS and LAPACK call of the factor path, the
 kernel fits and the dual and spline predictions goes through scipy.linalg, the
-library that factors, and each product through kernels._product, which makes
-the call numpy's matmul makes; the factor checks K's finiteness a tile of rows
-at a time, never with an n x n mask.  The feature space (fit_primal, the primal
-predict and the feature maps) keeps numpy's matmul: moved to scipy it kept
-fig1's and fig2's bytes and their peak RSS, and fig2 was no faster (0.747 s
-against 0.733 s in process).
+library that factors.  A fit reads K once before its first Cholesky, the mirror
+checking each band it writes for finiteness: the factored triangle only, no n x n
+mask.  The feature space (fit_primal, the primal predict and the feature maps)
+keeps numpy's matmul: moved to scipy it kept fig1's and fig2's bytes and their
+peak RSS, and fig2 was no faster (0.747 s against 0.733 s in process).
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .features import FourierFeatureMap, NNFeatureMap
-from .kernels import (MIRROR_TILE, KernelSpec, _as_points, _gram, _kernel_rows, _mirror, _product,
+from .kernels import (KernelSpec, _as_points, _gram, _kernel_rows, _mirror, _product,
                       monomial_exponents, monomial_matrix)
 
 __all__ = [
@@ -149,12 +148,10 @@ def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
     overwrites it, and its strict lower triangle becomes the mirror."""
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
-    for i in range(0, len(K), MIRROR_TILE):  # a tile of rows at a time: no n x n mask
-        if not np.isfinite(K[i:i + MIRROR_TILE]).all():
-            raise ValueError("matrix has non-finite entries")
     if not np.isfinite(shift):
         raise ValueError(f"diagonal shift must be finite, got {shift}")
-    _mirror(K)
+    if not _mirror(K):
+        raise ValueError("matrix has non-finite entries")
     diag = _diagonal(K).copy()
     for extra in (0.0,) + JITTER_LADDER:
         np.add(diag, shift + extra, out=_diagonal(K))
@@ -274,8 +271,8 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     # i <= j, the lower triangle of its Fortran view K.T, over K's own memory
     K = _gram(X, spec, "distance")
     KQ = _symmetric_product(K, Q)
-    S = sla.blas.dgemm(1.0, Q, KQ, trans_a=True) + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly)
-    G = KQ - 0.5 * sla.blas.dgemm(1.0, Q, S)
+    S = _product(Q.T, KQ) + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly)
+    G = KQ - 0.5 * _product(Q, S)
     sla.blas.dsyr2k(-1.0, Q, G, beta=1.0, c=K.T, lower=True, overwrite_c=True)
     factor = _factor_in_place(K, shift)
     del K

@@ -237,6 +237,15 @@ def test_grid_apply_of_no_labels(heavy_tailed_fourier_map, step_map):
             assert ens.grid_apply(np.zeros((columns, 0)), n).shape == (n, 0)
 
 
+@pytest.mark.parametrize("n", [1, 33, 512])
+def test_grid_apply_takes_numpy_integers(heavy_tailed_fourier_map, step_map, n):
+    # n is any integer, as KernelSpec's alpha and d are: np.int64(n) gives n's bytes
+    for ens, columns in ((heavy_tailed_fourier_map, 2 * heavy_tailed_fourier_map.m), (step_map, step_map.m)):
+        for W in (np.linspace(-1.0, 1.0, columns), np.random.default_rng(n).standard_normal((columns, 3))):
+            want, got = ens.grid_apply(W, n), ens.grid_apply(W, np.int64(n))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("m", [2048, 8192])
 def test_fourier_grid_apply_peak_memory_does_not_grow_with_m(m):
     # fig2's call: 512 grid points, 20 labels.  The temporaries hold one chunk of
@@ -257,6 +266,9 @@ def test_grid_apply_rejects_bad_grids(heavy_tailed_fourier_map):
     W = np.ones(2 * heavy_tailed_fourier_map.m)
     with pytest.raises(ValueError, match="at least one point"):
         heavy_tailed_fourier_map.grid_apply(W, 0)
+    for n in (2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="integer n"):
+            heavy_tailed_fourier_map.grid_apply(W, n)
     with pytest.raises(ValueError, match="weights must have shape"):
         heavy_tailed_fourier_map.grid_apply(W[1:], 4)
     ens2 = sample_fourier_ensemble(KernelSpec(0, 2, 1.0), 8, RngStream(7))
@@ -322,6 +334,9 @@ def test_nn_grid_apply_rejects(step_map):
         sample_nn_ensemble(KernelSpec(1, 1, 1.0), 8, RngStream(7)).grid_apply(np.ones(8), 4)
     with pytest.raises(ValueError, match="at least one point"):
         step_map.grid_apply(W, 0)
+    for n in (2.5, 4.0, "4", None):
+        with pytest.raises(ValueError, match="integer n"):
+            step_map.grid_apply(W, n)
     with pytest.raises(ValueError, match="weights must have shape"):
         step_map.grid_apply(np.ones((step_map.m + 1, 2)), 4)
     half = _manual_nn_ensemble([[1.0], [0.5]], [0.0, 0.1], KernelSpec(0, 1, 1.0))

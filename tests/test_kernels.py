@@ -278,6 +278,18 @@ def test_rkhs_reproducing_property(R):
         assert abs(rkhs_norm_1d(prof, 1, R) - target) < 1e-6
 
 
+def test_rkhs_norm_rejects_a_profile_of_another_radius():
+    # f(t) = t has squared norm 4R^2: 4 on [-1, 1] and 36 on [-3, 3], never a mix of the two (12)
+    line = [lambda t: np.asarray(t, dtype=float), lambda t: np.ones_like(np.asarray(t, dtype=float))]
+    assert rkhs_norm_1d(make_profile(line, 1.0), 0, 1.0) == pytest.approx(4.0, rel=1e-12)
+    assert rkhs_norm_1d(make_profile(line, 3.0), 0, 3.0) == pytest.approx(36.0, rel=1e-12)
+    short = Derivative1DProfile(boundary_low=np.zeros(1), boundary_high=np.zeros(1),
+                                grid=np.linspace(-1.0, 0.5, 5), top_derivative=np.zeros(5))
+    for prof, R in ((make_profile(line, 1.0), 3.0), (make_profile(line, 3.0), 1.0), (short, 1.0)):
+        with pytest.raises(ValueError, match="profile grid spans"):
+            rkhs_norm_1d(prof, 0, R)
+
+
 def test_rkhs_norm_unsupported_order():
     prof = make_profile([lambda t: 0 * np.asarray(t)] * 4, 1.0)
     with pytest.raises(UnsupportedOrderError):
@@ -737,3 +749,35 @@ def test_kernel_paths_make_no_numpy_blas_call():
         assert f"splinerf.regression.{name}" in functions
     found = {name: lines for name, node in functions.items() if (lines := _numpy_blas_lines(node))}
     assert found == {}
+
+
+_BLAS_PRODUCTS = {"dgemm", "dgemv", "ddot", "dsyrk"}
+
+
+def _blas_product_lines(node, exempt=()):
+    """Lines under node that call a BLAS routine named in _BLAS_PRODUCTS, outside the
+    functions named in exempt."""
+    if isinstance(node, ast.FunctionDef) and node.name in exempt:
+        return []
+    lines = [line for child in ast.iter_child_nodes(node) for line in _blas_product_lines(child, exempt)]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in _BLAS_PRODUCTS:
+        lines.append(node.lineno)
+    return lines
+
+
+def test_kernel_paths_map_products_onto_blas_in_product_alone():
+    # kernels._product and its _gemv are the one place that maps a row-major product onto
+    # column-major BLAS: a hand-written product call elsewhere would encode that layout twice
+    sample = ast.parse("blas.dgemm(1.0, a, b)\nsla.blas.dgemv(1.0, a, x)\nf(blas.ddot(x, y))\n"
+                       "blas.dsyrk(1.0, a)\nblas.dsymm(1.0, a, b)\ndef g():\n    blas.dgemm(1.0, a, b)")
+    assert _blas_product_lines(sample) == [1, 2, 3, 4, 7]
+    assert _blas_product_lines(sample, exempt={"g"}) == [1, 2, 3, 4]
+    found = {}
+    for module, exempt in ((splinerf.kernels, {"_product", "_gemv"}), (splinerf.regression, ())):
+        tree = ast.parse(pathlib.Path(module.__file__).read_text(encoding="utf-8"))
+        if lines := _blas_product_lines(tree, exempt):
+            found[module.__name__] = lines
+    assert found == {}
+    # the exemption does not hide the product layout's own calls
+    tree = ast.parse(pathlib.Path(splinerf.kernels.__file__).read_text(encoding="utf-8"))
+    assert len(_blas_product_lines(tree)) == 4

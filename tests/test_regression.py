@@ -553,16 +553,22 @@ def test_factor_spd_matches_inline_cholesky():
 
 
 def test_factor_spd_ignores_the_strict_lower_triangle():
+    # like potrf, factor_spd neither reads nor checks K[i, j] for i > j: a NaN or inf there
+    # is no error, and the factor, solves and products are those of the clean matrix
     rng = np.random.default_rng(12)
     K = _alpha3_gram(rng)
-    other = K.copy()
     below = np.tril_indices_from(K, -1)
-    other[below] = rng.uniform(-1e3, 1e3, below[0].size)
+    noise = rng.uniform(-1e3, 1e3, below[0].size)
     B = rng.standard_normal((60, 3))
-    first, second = factor_spd(K, 1e-6), factor_spd(other, 1e-6)
-    assert first.factor[1] and second.factor[1]  # lower: cho_factor wrote the lower triangle
-    assert np.array_equal(np.tril(first.factor[0]), np.tril(second.factor[0]))
-    assert np.array_equal(first.solve(B), second.solve(B))
+    first = factor_spd(K, 1e-6)
+    for fill in (noise, np.nan, np.inf, -np.inf):
+        other = K.copy()
+        other[below] = fill
+        second = factor_spd(other, 1e-6)
+        assert first.factor[1] and second.factor[1]  # lower: cho_factor wrote the lower triangle
+        assert np.array_equal(np.tril(first.factor[0]), np.tril(second.factor[0]))
+        assert np.array_equal(first.solve(B), second.solve(B))
+        assert np.array_equal(first.product(B), second.product(B))
 
 
 def test_factor_spd_of_a_symmetric_matrix_matches_its_symmetric_part():
@@ -651,6 +657,14 @@ def test_factor_spd_rejects_bad_matrices():
     with pytest.raises(ValueError) as exc:
         factor_spd(K)
     assert not isinstance(exc.value, IllConditionedError)
+    # on or above the diagonal, in the first band of rows the mirror checks, a middle one and
+    # the last, short one
+    for i, j, bad in ((0, 0, np.inf), (130, 200, -np.inf), (299, 299, np.nan), (250, 299, np.inf)):
+        K = np.eye(300)
+        K[i, j] = bad
+        with pytest.raises(ValueError, match="non-finite") as exc:
+            factor_spd(K)
+        assert not isinstance(exc.value, IllConditionedError)
     with pytest.raises(ValueError):
         factor_spd(np.ones((1, 5)))
     for shift in (np.nan, np.inf, -np.inf):
