@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 from array import array
+from contextlib import nullcontext
+from itertools import islice
 
 import numpy as np
 
@@ -26,6 +28,7 @@ INVERSION_JITTER = 1e-10
 # Largest training residual an interpolating fig1 fit may leave without a stderr report.
 FIG1_RESIDUAL_TOL = 1e-6
 GRID_POINTS = 512
+WRITE_CHUNK = 4096  # CSV rows formatted per write: the text in memory is a chunk's
 
 
 def _fmt(value) -> str:
@@ -35,15 +38,18 @@ def _fmt(value) -> str:
 
 
 def _write_csv(out: str, metadata, header, rows) -> None:
-    lines = [f"# {key}={_fmt(val)}" for key, val in metadata]
-    lines.append(",".join(header))
-    lines.extend(",".join(map(_fmt, row)) for row in rows)
-    text = "\n".join(lines) + "\n"
-    if out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    """Write the metadata lines, the header and rows, any iterable, WRITE_CHUNK rows per write."""
+    with nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("".join(f"# {key}={_fmt(val)}\n" for key, val in metadata) + ",".join(header) + "\n")
+        rows = iter(rows)
+        while chunk := "".join(",".join(map(_fmt, row)) + "\n" for row in islice(rows, WRITE_CHUNK)):
+            fh.write(chunk)
+
+
+def _columns(*columns):
+    """Rows of equal-length 1-D arrays as Python numbers, converted WRITE_CHUNK rows at a time."""
+    for i in range(0, len(columns[0]), WRITE_CHUNK):
+        yield from zip(*(column[i:i + WRITE_CHUNK].tolist() for column in columns))
 
 
 def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
@@ -160,41 +166,42 @@ def run_fig3(args: argparse.Namespace) -> None:
 def run_kernel_eval(args: argparse.Namespace) -> int:
     """Evaluate the kernel on point pairs read from stdin, one pair per line.
 
-    All lines are parsed first, then the valid pairs are evaluated in one call:
-    a malformed line or one with a non-finite coordinate is reported by its
-    number and gets no row, a kernel error (such as an unsupported alpha) is
-    reported once, with no rows written.
+    Line numbers and coordinates are parsed into flat arrays, 8 (2d + 1) bytes a pair,
+    then every valid pair is evaluated before a row is written: a malformed line or one
+    with a non-finite coordinate is reported by its number and gets no row, a kernel
+    error (such as an unsupported alpha) is reported once, with no rows written.
     """
     d = args.dim
     spec = KernelSpec(args.alpha, d, args.radius)
-    linenos, pairs = [], array("d")
+    linenos, coords = array("q"), array("d")
     errors = []  # (line number, message)
     for lineno, line in enumerate(sys.stdin, start=1):
         toks = line.split()
         if not toks:
             continue
         try:
-            values = list(map(float, toks))  # a list, so a bad token adds nothing to pairs
+            values = list(map(float, toks))  # a list, so a bad token adds nothing to coords
             if len(values) != 2 * d:
                 raise ValueError(f"expected {2 * d} reals, got {len(values)}")
         except ValueError as exc:
             errors.append((lineno, str(exc)))
             continue
         linenos.append(lineno)
-        pairs.extend(values)
-    P = np.asarray(pairs).reshape(len(linenos), 2 * d)
+        coords.extend(values)
+    lines = np.frombuffer(linenos, dtype=np.int64)
+    P = np.frombuffer(coords).reshape(len(lines), 2 * d)
     finite = np.isfinite(P).all(axis=1)  # one pass over every pair, after parsing
-    errors += [(linenos[i], "non-finite coordinate") for i in np.flatnonzero(~finite)]
-    linenos, P = np.asarray(linenos, dtype=int)[finite].tolist(), P[finite]
+    if not finite.all():  # the only copy of the pairs
+        errors += [(int(lines[i]), "non-finite coordinate") for i in np.flatnonzero(~finite)]
+        lines, P = lines[finite], P[finite]
     for lineno, message in sorted(errors):
         print(f"line {lineno}: {message}", file=sys.stderr)
     n_bad = len(errors)
     try:
-        rows = list(zip(linenos, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel).tolist()))
+        rows = _columns(lines, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel))
     except ValueError as exc:
         print(f"kernel-eval: {exc}", file=sys.stderr)
-        rows = []
-        n_bad += 1
+        rows, n_bad = (), n_bad + 1
     metadata = [("experiment", "kernel-eval"), ("alpha", args.alpha), ("dim", d),
                 ("radius", args.radius), ("kernel", args.kernel)]
     _write_csv(args.out, metadata, ["line", "value"], rows)
@@ -209,14 +216,14 @@ def run_feature_sample(args: argparse.Namespace) -> None:
     if args.kind == "nn":
         ens = sample_nn_ensemble(spec, m, stream)
         header = ["index", "bias"] + [f"w{i+1}" for i in range(d)]
-        rows = [(j, ens.biases[j], *ens.directions[j]) for j in range(m)]
+        values, vectors = ens.biases, ens.directions
     else:
         ens = sample_fourier_ensemble(spec, m, stream)
         header = ["index", "tau"] + [f"omega{i+1}" for i in range(d)]
-        rows = [(j, ens.taus[j], *ens.omegas[j]) for j in range(m)]
+        values, vectors = ens.taus, ens.omegas  # omegas is formed anew at each access
     metadata = [("experiment", "feature-sample"), ("kind", args.kind), ("dim", d),
                 ("radius", args.radius), ("m", m), ("seed", args.seed)]
-    _write_csv(args.out, metadata, header, rows)
+    _write_csv(args.out, metadata, header, _columns(np.arange(m), values, *vectors.T))
 
 
 # experiment: (runner, default --out, {flag it reads: its default here, None for the parser's}).

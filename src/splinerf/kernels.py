@@ -10,7 +10,8 @@ sampling is involved.  Every evaluator forms |x - y| from exact coordinate
 differences in one helper, so the distance term is exactly 0 at x = y, and
 SciPy's spatial and special modules are never imported.  Cross kernels are
 built a row block at a time by one generator, which regression.predict also
-streams, so a prediction never holds an (n_test, n) matrix.
+streams, so a prediction never holds an (n_test, n) matrix, and kernel_pairs
+takes its pairs a block at a time too.
 
 Every BLAS call here and on regression's kernel paths goes through scipy.linalg,
 never numpy's own OpenBLAS (see regression's docstring for why), and _product is
@@ -49,6 +50,7 @@ __all__ = [
 
 KERNEL_KINDS = ("nn", "arccos", "pol_only")
 DISTANCE_BLOCK_ENTRIES = 2 ** 15  # distance-term entries per row block: small temporaries
+PAIR_BLOCK = 4096  # rows per kernel_pairs block; fewer change M(Xa) C's bits (see there)
 
 
 class UnsupportedOrderError(ValueError):
@@ -341,18 +343,32 @@ def _validated(Xa, Xb, spec: KernelSpec, kind: str):
 
 
 def kernel_pairs(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
-    """Row-wise kernel values K[i] = k(Xa[i], Xb[i]) for the chosen kernel kind."""
+    """Row-wise kernel values K[i] = k(Xa[i], Xb[i]) for the chosen kernel kind.
+
+    Pairs go PAIR_BLOCK rows at a time, so the temporaries are a block's, never the input's
+    length; the last block is the last PAIR_BLOCK rows, which may repeat rows of the one
+    before it, rather than a short one.  The values are bit-equal to one call over all rows:
+    all but M(Xa) C is elementwise, and M(Xa) C over a block of r >= 16 monomials is over
+    4096 r^2 > 1e6 multiply-adds, above OpenBLAS's small-matrix dgemm kernel, as one call
+    is; at r <= 15 the two kernels give the same bits.
+    """
     Xa, Xb = _validated(Xa, Xb, spec, kind)
     if Xa.shape != Xb.shape:
         raise ValueError(f"paired points need equal shapes, got {Xa.shape} and {Xb.shape}")
-    if kind == "arccos":
-        return _arccos_from_products(np.einsum("ij,ij->i", Xa, Xa), np.einsum("ij,ij->i", Xb, Xb),
-                                     np.einsum("ij,ij->i", Xa, Xb), spec)
-    E, C = _pol_coefficients(spec)
-    pol = np.einsum("ij,ij->i", _product(monomial_matrix(Xa, E), C), monomial_matrix(Xb, E))
-    if kind == "pol_only":
-        return pol
-    return pol + _distance_term(Xa, Xb, spec)
+    n = len(Xa)
+    out = np.empty(n)
+    for i in range(0, max(n, 1), PAIR_BLOCK):  # one block, if empty, to raise what one call raises
+        rows = slice(max(0, min(i, n - PAIR_BLOCK)), i + PAIR_BLOCK)
+        a, z = Xa[rows], Xb[rows]
+        if kind == "arccos":
+            out[rows] = _arccos_from_products(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", z, z),
+                                              np.einsum("ij,ij->i", a, z), spec)
+            continue
+        E, C = _pol_coefficients(spec)
+        out[rows] = np.einsum("ij,ij->i", _product(monomial_matrix(a, E), C), monomial_matrix(z, E))
+        if kind == "nn":
+            out[rows] += _distance_term(a, z, spec)
+    return out
 
 
 def kd(x, y, spec: KernelSpec) -> float:

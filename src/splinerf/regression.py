@@ -283,7 +283,7 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     model = RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
                             poly_coeffs=nu, jitter_used=cfg.jitter + factor.escalation)
     del factor  # the training misfit against K itself, streamed, without M or its factor alive
-    model.residual = float(np.max(np.abs(predict(model, X) - y)))
+    model.residual = float(np.max(np.abs(predict(model, X) - y), initial=0.0))
     return model
 
 

@@ -8,8 +8,10 @@ the polynomial kernel part through bivariate Gaussian moments, a dense
 discretization of the leverage integral operator, the dense Gram
 factorization the structured grid estimator replaced, the symmetric-indefinite
 saddle solve the null-space spline solve replaced, and the whole-array
-feature and distance-term expressions the in-place feature maps and the
-buffered distance term must reproduce bit for bit.
+feature, distance-term and kernel-pair expressions the in-place feature maps,
+the buffered distance term and the blocked kernel_pairs must reproduce bit for
+bit (the last on the library's own C and BLAS call), with a one-pass
+kernel-eval CLI built on it.
 """
 
 from dataclasses import dataclass
@@ -19,8 +21,8 @@ import numpy as np
 import scipy.linalg as sla
 from scipy.special import gammaln
 
-from splinerf.kernels import (KernelSpec, c_alpha, distance_kernel_matrix, kernel_matrix,
-                              monomial_exponents, monomial_matrix)
+from splinerf.kernels import (KernelSpec, _pol_coefficients, _product, c_alpha, distance_kernel_matrix,
+                              kernel_matrix, monomial_exponents, monomial_matrix)
 from splinerf.regression import factor_spd
 
 _GL_LOW = np.polynomial.legendre.leggauss(10)
@@ -371,15 +373,54 @@ def fourier_features_reference(X, omegas):
     return np.concatenate([np.cos(phase), np.sin(phase)], axis=1)
 
 
-def distance_term_reference(Xa, Xb, spec):
-    """c(alpha, d) |a - b|^(2 alpha + 1) / R over all pairs as one whole-block expression,
-    the power as sqrt(s) s ... s with alpha factors s = |a - b|^2, multiplied left to right."""
-    A, B = Xa[:, None, :], Xb[None, :, :]
+def distance_term_reference(A, B, spec):
+    """c(alpha, d) |a - b|^(2 alpha + 1) / R over the broadcast of A and B, shape (..., d), as one
+    whole-block expression, the power as sqrt(s) s ... s with alpha factors s = |a - b|^2,
+    multiplied left to right."""
     sq = sum((A[..., j] - B[..., j]) ** 2 for j in range(spec.d))
     power = np.sqrt(sq)
     for _ in range(spec.alpha):
         power = power * sq
     return c_alpha(spec) * power / spec.R
+
+
+def kernel_pairs_reference(Xa, Xb, spec, kind="nn"):
+    """kernel_pairs of kind "nn" or "pol_only" as one call over every pair, the form its row
+    blocks must reproduce bit for bit: one M(Xa) C product by the library's BLAS call, then a
+    row-wise dot with M(Xb) and the whole-array distance term."""
+    E, C = _pol_coefficients(spec)
+    pol = np.einsum("ij,ij->i", _product(monomial_matrix(Xa, E), C), monomial_matrix(Xb, E))
+    return pol if kind == "pol_only" else pol + distance_term_reference(Xa, Xb, spec)
+
+
+def kernel_eval_reference(text, alpha, dim, radius=1.0, kind="nn"):
+    """The kernel-eval CLI on stdin text as one pass: every line parsed, the valid pairs
+    evaluated by kernel_pairs_reference, the whole CSV formatted at once.  Returns its
+    stderr lines, exit code and CSV text."""
+    spec = KernelSpec(alpha, dim, radius)
+    errors, linenos, pairs = [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.split():
+            continue
+        try:
+            values = [float(tok) for tok in line.split()]
+        except ValueError as exc:
+            errors.append((lineno, str(exc)))
+            continue
+        if len(values) != 2 * dim:
+            errors.append((lineno, f"expected {2 * dim} reals, got {len(values)}"))
+        elif not np.isfinite(values).all():
+            errors.append((lineno, "non-finite coordinate"))
+        else:
+            linenos.append(lineno)
+            pairs.append(values)
+    P = np.array(pairs).reshape(-1, 2 * dim)
+    values = kernel_pairs_reference(P[:, :dim], P[:, dim:], spec, kind)
+    csv = "".join(f"# {key}={val}\n" for key, val in [
+        ("experiment", "kernel-eval"), ("alpha", alpha), ("dim", dim), ("radius", f"{radius:.17g}"),
+        ("kernel", kind)])
+    csv += "line,value\n" + "".join(f"{n},{v:.17g}\n" for n, v in zip(linenos, values.tolist()))
+    return [f"line {n}: {message}" for n, message in sorted(errors)], int(bool(errors)), csv
 
 
 def saddle_solve(X, y, spec, shift):

@@ -1,13 +1,15 @@
 import csv
 import io
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from splinerf.cli import GRID_POINTS, _refined_grid, main
+from oracles import kernel_eval_reference
+from splinerf.cli import GRID_POINTS, WRITE_CHUNK, _refined_grid, main
 from splinerf.features import FourierFeatureMap, NNFeatureMap
-from splinerf.kernels import KernelSpec, kernel_pairs
+from splinerf.kernels import PAIR_BLOCK, KernelSpec, kernel_pairs
 from splinerf.regression import SPDFactor
 from splinerf.sampling import RngStream, derive_seed
 
@@ -101,6 +103,65 @@ def test_kernel_eval_unsupported_kernel_reported_once(tmp_path, monkeypatch, cap
     _, header, rows = _read_csv(out)
     assert header == ["line", "value"]
     assert rows == []
+
+
+def _pairs_text(P):
+    return "".join(" ".join(map(repr, row)) + "\n" for row in P.tolist())
+
+
+def _boundary_stdin(with_nan):
+    """10 000 pairs at d = 3, with a blank, a malformed, a wrong-count and, with_nan, a NaN
+    line at and next to each multiple of PAIR_BLOCK and of WRITE_CHUNK rows."""
+    lines = _pairs_text(np.random.default_rng(17).uniform(-0.57, 0.57, (10_000, 6))).splitlines()
+    specials = ["", "0.1 0.2 x 0.3 0.4 0.5", "0.1 0.2 0.3"] + ["0.1 nan 0.2 0.3 0.4 0.5"] * with_nan
+    for boundary in sorted({PAIR_BLOCK, 2 * PAIR_BLOCK, WRITE_CHUNK, 2 * WRITE_CHUNK}, reverse=True):
+        for offset, special in zip((1, 0, -1, -2), specials):
+            lines.insert(boundary + offset, special)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_nan", [True, False])
+def test_kernel_eval_across_block_and_chunk_boundaries(tmp_path, monkeypatch, capsys, with_nan):
+    # the same report and bytes as parsing everything, evaluating in one call and writing
+    # the CSV at once; without a NaN line no pair is copied
+    text = _boundary_stdin(with_nan)
+    want_err, want_code, want_csv = kernel_eval_reference(text, alpha=3, dim=3)
+    args = ["--experiment", "kernel-eval", "--alpha", "3", "--dim", "3", "--out"]
+    out = tmp_path / "k.csv"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(args + [str(out)]) == want_code == 1
+    assert capsys.readouterr().err.splitlines() == want_err
+    assert out.read_bytes() == want_csv.encode()
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(args + ["-"]) == want_code
+    written = capsys.readouterr()
+    assert written.err.splitlines() == want_err
+    assert written.out.encode() == out.read_bytes()
+
+
+def test_kernel_eval_memory_is_its_arrays_and_a_block(tmp_path, monkeypatch):
+    # 20 000 pairs at alpha = 3, d = 3: about 1 MiB of line numbers and coordinates, and the
+    # temporaries of one kernel_pairs block of PAIR_BLOCK rows; a list of (line, value)
+    # tuples and the CSV text built whole once peaked at 19.7 MiB
+    text = _pairs_text(np.random.default_rng(18).uniform(-0.57, 0.57, (20_000, 6)))
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    tracemalloc.start()
+    try:
+        assert main(["--experiment", "kernel-eval", "--alpha", "3", "--dim", "3",
+                     "--out", str(tmp_path / "k.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
+def test_feature_sample_forms_the_frequencies_once(tmp_path, monkeypatch):
+    # omegas forms every frequency at each access; one access per row was quadratic in m
+    calls, omegas = [], FourierFeatureMap.omegas
+    monkeypatch.setattr(FourierFeatureMap, "omegas", property(lambda ens: calls.append(1) or omegas.fget(ens)))
+    assert main(["--experiment", "feature-sample", "--kind", "fourier", "--dim", "2", "--m", "50",
+                 "--out", str(tmp_path / "fs.csv")]) == 0
+    assert len(calls) == 1
 
 
 def test_feature_sample_deterministic(tmp_path):

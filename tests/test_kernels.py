@@ -385,7 +385,7 @@ def test_distance_term_matches_whole_block_reference(alpha, d):
     rows_per_block = DISTANCE_BLOCK_ENTRIES // len(Xb)
     # coincident points, where c(alpha, d) < 0 at even alpha gives -0.0, and a ragged last row block
     Xa = np.vstack([Xb[:5], rng.uniform(-0.7, 0.7, (2 * rows_per_block + 7, d))])
-    ref = distance_term_reference(Xa, Xb, spec)
+    ref = distance_term_reference(Xa[:, None, :], Xb[None, :, :], spec)
     assert np.count_nonzero(ref == 0) == 5 and np.signbit(ref[0, 0]) == (alpha % 2 == 0)
     term = _distance_term(Xa[:, None, :], Xb[None, :, :], spec)
     assert np.array_equal(term, ref) and np.array_equal(np.signbit(term), np.signbit(ref))
@@ -611,6 +611,31 @@ def test_kernel_pairs_shapes(kind):
 def test_kernel_pairs_unknown_kind():
     with pytest.raises(ValueError):
         kernel_pairs(np.zeros((1, 2)), np.zeros((1, 2)), KernelSpec(1, 2), "maple")
+
+
+_PAIRS_AT_THREADS = """
+import numpy as np
+from oracles import kernel_pairs_reference
+from splinerf.kernels import KernelSpec, kernel_pairs
+P = np.random.default_rng(410).uniform(-0.57, 0.57, (20000, 6))
+for alpha, kind in [(0, "nn"), (1, "nn"), (3, "nn"), (3, "pol_only")]:
+    spec = KernelSpec(alpha, 3)
+    print(np.array_equal(kernel_pairs(P[:, :3], P[:, 3:], spec, kind),
+                         kernel_pairs_reference(P[:, :3], P[:, 3:], spec, kind)))
+"""
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_pairs_blocks_keep_the_one_call_bits(threads):
+    # 20 000 pairs are five PAIR_BLOCK blocks, the last one overlapping the fourth; at
+    # alpha = 3, d = 3, M(Xa) C has 20 columns, and blocks of 2048 rows take OpenBLAS's
+    # small-matrix dgemm kernel, which moves the last bit of about a hundred values
+    tests = pathlib.Path(__file__).parent
+    path = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", _PAIRS_AT_THREADS], capture_output=True, text=True,
+                            env=env, check=True)
+    assert result.stdout.split() == ["True"] * 4
 
 
 def test_scalar_kernels_are_kernel_pairs_rows():

@@ -143,6 +143,17 @@ def test_targets_of_wrong_shape_rejected(name):
 
 
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+def test_fits_take_an_empty_label_matrix(name):
+    # fit_constrained_spline's residual was a max over no entries, which numpy rejects
+    X, fits = _label_matrix_fits()
+    model = fits[name](np.zeros((X.shape[0], 0)))
+    assert model.residual == 0.0
+    for attr in COEFFICIENTS[name]:
+        assert getattr(model, attr).shape[1:] == (0,)
+    assert predict(model, X[:5]).shape == (5, 0)
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_targets_rejected(name, bad):
     # fit_dual and fit_primal returned NaN coefficients with residual NaN here
