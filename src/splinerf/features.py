@@ -140,10 +140,12 @@ class FourierFeatureMap:
 
 
 def _check_parameters(spec: KernelSpec, values, directions) -> None:
-    """The check of both maps: m >= 1 values of shape (m,) and directions of shape (m, d)."""
+    """The check of both maps: m >= 1 values of shape (m,) and directions of shape (m, d), all finite."""
     if np.ndim(values) != 1 or len(values) < 1 or np.shape(directions) != (len(values), spec.d):
         raise ValueError(f"a feature map needs m >= 1 values of shape (m,) and directions of shape "
                          f"(m, {spec.d}), got {np.shape(values)} and {np.shape(directions)}")
+    if not (np.isfinite(values).all() and np.isfinite(directions).all()):
+        raise ValueError("feature map values and directions must be finite")
 
 
 def _check_grid(spec: KernelSpec, columns: int, weights, n: int):

@@ -11,13 +11,15 @@ differences in one helper, so the distance term is exactly 0 at x = y, and
 SciPy's spatial and special modules are never imported.  Cross kernels are
 built a row block at a time by one generator, which regression.predict also
 streams, so a prediction never holds an (n_test, n) matrix, and kernel_pairs
-takes its pairs a block at a time too.
+takes its pairs a block at a time too.  A fit's Gram is built on its triangle
+i <= j only (_gram), and the arc-cosine matrix's x.y by coordinate products.
 
 Every BLAS call here and on regression's kernel paths goes through scipy.linalg,
 never numpy's own OpenBLAS (see regression's docstring for why), and _product is
 the one place that maps a row-major product onto column-major BLAS: it makes the
-call numpy's matmul makes, so at one thread it has numpy's bits; at more, the two
-OpenBLAS builds may split a larger dgemm differently.
+call numpy's matmul makes, except for X X^T, which numpy computes by dsyrk, so at
+one thread it has numpy's bits; at more, the two OpenBLAS builds may split a
+larger dgemm differently.
 """
 
 from __future__ import annotations
@@ -170,30 +172,6 @@ def _as_points(X, d: int) -> np.ndarray:
     return X
 
 
-MIRROR_TILE = 128  # rows per tile of a triangle mirror
-
-
-@lru_cache(maxsize=8)
-def _strict_lower(size: int) -> np.ndarray:
-    """Read-only mask of a size x size tile's strict lower triangle, shared by every mirror."""
-    mask = np.tri(size, k=-1, dtype=bool)
-    mask.setflags(write=False)
-    return mask
-
-
-def _mirror(K: np.ndarray) -> bool:
-    """Copy a square K's strict upper triangle onto its strict lower one (on K.T, the lower one
-    back) a tile of MIRROR_TILE rows at a time; True if each band is finite once written."""
-    n, finite = len(K), True
-    for i in range(0, n, MIRROR_TILE):
-        j = min(i + MIRROR_TILE, n)
-        K[i:j, :i] = K[:i, i:j].T
-        tile = K[i:j, i:j]
-        np.copyto(tile, tile.T, where=_strict_lower(j - i))
-        finite = finite and bool(np.isfinite(K[i:j]).all())
-    return finite
-
-
 def _fortran(A: np.ndarray):
     """A 2-D A as its own Fortran view and whether that view is A's transpose: A.T of a
     C-ordered A, else A, so f2py copies nothing (a copy changes the call, and the bits)."""
@@ -211,8 +189,8 @@ def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
 
     It makes the column-major call that numpy's row-major matmul makes, so at one thread
     its bits are matmul's: ddot for a 1 x 1 product, dgemv when A is one row or B one
-    column, dsyrk and a mirror for a matrix times its own transpose, else dgemm on
-    (A B)^T = B^T A^T.
+    column, else dgemm on (A B)^T = B^T A^T.  A matrix times its own transpose is no
+    exception here, where numpy takes dsyrk.
     """
     (m, n), p = A.shape, B.shape[1] if B.ndim == 2 else 1
     out = np.empty((m,) + B.shape[1:]) if out is None else out
@@ -224,10 +202,6 @@ def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
         _gemv(A, B.reshape(-1), out.reshape(-1))
     elif m == 1:
         _gemv(B.T, A[0], out.reshape(-1))
-    elif A.shape == B.T.shape and A.strides == B.T.strides and A.ctypes.data == B.ctypes.data:
-        a, transposed = _fortran(A)
-        blas.dsyrk(1.0, a, trans=transposed, lower=True, c=out.T, overwrite_c=True)
-        _mirror(out)
     else:
         (b, b_transposed), (a, a_transposed) = _fortran(B), _fortran(A)
         blas.dgemm(1.0, b, a, trans_a=not b_transposed, trans_b=not a_transposed,
@@ -385,9 +359,13 @@ def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind, C-ordered."""
     Xa, Xb = _validated(Xa, Xb, spec, kind)
     if kind == "arccos":
-        sq_a = np.einsum("ij,ij->i", Xa, Xa)[:, None]
-        sq_b = np.einsum("ij,ij->i", Xb, Xb)[None, :]
-        return np.asarray(_arccos_from_products(sq_a, sq_b, _product(Xa, Xb.T), spec))
+        dot = np.multiply.outer(Xa[:, 0], Xb[:, 0])  # x.y summed over coordinates in place
+        tmp = np.empty_like(dot)
+        for j in range(1, spec.d):
+            dot += np.multiply.outer(Xa[:, j], Xb[:, j], out=tmp)
+        del tmp
+        sq_a, sq_b = np.einsum("ij,ij->i", Xa, Xa), np.einsum("ij,ij->i", Xb, Xb)
+        return np.asarray(_arccos_from_products(sq_a[:, None], sq_b[None, :], dot, spec))
     return _assembled(Xa, Xb, spec, kind)
 
 

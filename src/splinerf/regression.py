@@ -3,8 +3,9 @@
 Every dense solve goes through one factor path: the constrained spline too, on
 its kernel projected onto the null space of the polynomial constraint.  Each fit
 hands the n x n matrix it built to that path, which factors it in the matrix's
-own memory and keeps the matrix itself in the triangle the factor does not use,
-so a fit holds one n x n array; factor_spd is the same path on a copy.
+own memory, so a fit holds one n x n array; factor_spd is the same path on a
+copy.  Its layout is this module's alone: the triangle i <= j holds the matrix,
+the other its mirror, the diagonal the factor's, and an n-vector the matrix's.
 
 One BLAS on the kernel paths: numpy and scipy each load their own OpenBLAS, a
 pool's workers keep spinning for about 0.1 s after a call, and each library
@@ -28,8 +29,8 @@ import numpy as np
 import scipy.linalg as sla
 
 from .features import FourierFeatureMap, NNFeatureMap
-from .kernels import (KernelSpec, _as_points, _gram, _kernel_rows, _mirror, _product,
-                      monomial_exponents, monomial_matrix)
+from .kernels import (KernelSpec, _as_points, _gram, _kernel_rows, _product, monomial_exponents,
+                      monomial_matrix)
 
 __all__ = [
     "IllConditionedError",
@@ -123,23 +124,33 @@ class SPDFactor:
         return sla.cho_solve(self.factor, B, check_finite=False)
 
     def product(self, B) -> np.ndarray:
-        """A B, without any shift, for a vector or an (n, k) matrix B.
+        """A B, without any shift, for a vector or an (n, k) matrix B: the mirror times B,
+        which reads the factor's diagonal, plus (A's diagonal - the factor's) times B.
+        It writes nothing, so solves alongside it are unchanged."""
+        K, B = self.factor[0].T, np.asarray(B, dtype=float)
+        AB = _symmetric_product(K, B, upper=False)
+        AB += ((self.diag - _diagonal(K)) * B.T).T
+        return AB
 
-        Reads the mirror with A's diagonal swapped in for the factor's, which
-        is swapped back before it returns, so later solves are unchanged; a
-        solve in another thread during the call would read the wrong diagonal.
-        """
-        K = self.factor[0].T
-        factor_diag = _diagonal(K).copy()
-        _diagonal(K)[...] = self.diag
-        try:
-            return _symmetric_product(K, np.asarray(B, dtype=float), upper=False)
-        finally:
-            _diagonal(K)[...] = factor_diag
+
+MIRROR_TILE = 128  # rows per tile of a triangle mirror
+
+
+def _mirror(K: np.ndarray) -> bool:
+    """Copy a square K's strict upper triangle onto its strict lower one (on K.T, the lower one
+    back) a tile of MIRROR_TILE rows at a time; True if each band is finite once written."""
+    n, finite = len(K), True
+    for i in range(0, n, MIRROR_TILE):
+        j = min(i + MIRROR_TILE, n)
+        K[i:j, :i] = K[:i, i:j].T
+        tile = K[i:j, i:j]
+        np.copyto(tile, tile.T, where=np.tri(j - i, k=-1, dtype=bool))  # its strict lower triangle
+        finite = finite and bool(np.isfinite(K[i:j]).all())
+    return finite
 
 
 def _diagonal(K: np.ndarray) -> np.ndarray:
-    """Writable view of the diagonal of a C-ordered square K."""
+    """View of the diagonal of a C-ordered square K, writable if K is."""
     return K.reshape(-1)[::len(K) + 1]
 
 

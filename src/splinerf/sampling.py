@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -45,11 +46,17 @@ class RngStream:
     seed: int
 
     def __post_init__(self):
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError(f"seed must be a 64-bit natural, got {self.seed}")
+        _check_integer("seed", self.seed, 0, 2 ** 64)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=int(self.seed)))
+
+
+def _check_integer(name: str, value, low: int, high: int) -> int:
+    """value as an int in [low, high), so no two keys are read as one; a float is not Integral."""
+    if not isinstance(value, Integral) or not low <= int(value) < high:
+        raise ValueError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+    return int(value)
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -58,12 +65,12 @@ def derive_seed(seed: int, *parts) -> int:
     Used to give every experiment cell (method, m, rep, ...) its own stream.
     """
     h = hashlib.blake2b(digest_size=8)
-    h.update(struct.pack("<Q", int(seed) & (2 ** 64 - 1)))
+    h.update(struct.pack("<Q", _check_integer("seed", seed, 0, 2 ** 64)))
     for part in parts:
         if isinstance(part, str):
             h.update(b"s"); h.update(part.encode())
         else:
-            h.update(b"i"); h.update(struct.pack("<q", int(part)))
+            h.update(b"i"); h.update(struct.pack("<q", _check_integer("label", part, -2 ** 63, 2 ** 63)))
     return int.from_bytes(h.digest(), "little")
 
 
@@ -82,9 +89,9 @@ def tau_density(tau, R: float):
     """Frequency magnitude density sin^2(R tau) / (pi R tau^2) = R/pi (sin u / u)^2, u = R tau."""
     _check_radius(R)
     u = R * np.asarray(tau, dtype=float)
-    out = np.ones(u.shape)
-    nz = np.abs(u) >= 1e-8
-    out[nz] = (np.sin(u[nz]) / u[nz]) ** 2
+    out = np.array(np.abs(u) < 1e-8, dtype=float)  # the limits: 1 near u = 0, 0 at u = +-inf
+    rest = ~((np.abs(u) < 1e-8) | np.isinf(u))  # NaN too: sin(NaN) / NaN is NaN
+    out[rest] = (np.sin(u[rest]) / u[rest]) ** 2
     return R / np.pi * out
 
 

@@ -92,6 +92,13 @@ def test_kernel_eval_non_finite_coordinate(tmp_path, monkeypatch, capsys):
     assert np.isfinite(float(rows[0][1]))
 
 
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
+def test_seed_outside_the_key_range_is_reported(tmp_path, capsys, seed):
+    # -1 was read as 2^64 - 1 and 2^64 as 0: each the stream of another seed
+    assert main(["--experiment", "fig1", "--seed", seed, "--out", str(tmp_path / "f.csv")]) == 1
+    assert "seed must be an integer in [0, " in capsys.readouterr().err
+
+
 def test_kernel_eval_unsupported_kernel_reported_once(tmp_path, monkeypatch, capsys):
     out = tmp_path / "k.csv"
     monkeypatch.setattr("sys.stdin", io.StringIO("0 0\n0.1 0.2\n0.3 -0.4\n"))

@@ -367,6 +367,19 @@ def test_feature_maps_check_parameter_shapes(values, directions):
             make()
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_feature_maps_reject_non_finite_parameters(bad):
+    # a NaN direction and an infinite bias gave finite but wrong step features
+    spec = KernelSpec(0, 1, 1.0)
+    with pytest.raises(ValueError, match="finite"):
+        NNFeatureMap(spec, [[np.nan], [1.0]], [0.0, np.inf])
+    for values, directions in (([0.5, bad], [[1.0], [-1.0]]), ([0.5, 0.25], [[1.0], [bad]])):
+        for make in (lambda: NNFeatureMap(spec, directions, values),
+                     lambda: FourierFeatureMap(spec, values, directions)):
+            with pytest.raises(ValueError, match="finite"):
+                make()
+
+
 @pytest.mark.parametrize("R", [0.25, 3.0])
 def test_grid_apply_reads_its_radius(R):
     # both maps apply their weights on the grid of their own ball, -R + k 2R / (n - 1)

@@ -638,6 +638,42 @@ def test_kernel_pairs_blocks_keep_the_one_call_bits(threads):
     assert result.stdout.split() == ["True"] * 4
 
 
+_ARCCOS_AT_THREADS = """
+import hashlib
+import numpy as np
+from splinerf.kernels import KernelSpec, kernel_matrix
+rng = np.random.default_rng(420)
+for alpha in (1, 2):
+    for d in (3, 5):
+        spec = KernelSpec(alpha, d)
+        X, Xa, Xb = (rng.uniform(-0.57, 0.57, (n, d)) for n in (300, 1000, 700))
+        K = kernel_matrix(X, X, spec, kind="arccos")
+        cross = kernel_matrix(Xa, Xb, spec, kind="arccos")
+        print(alpha, d, np.array_equal(K, K.T), hashlib.sha256(cross.tobytes()).hexdigest())
+"""
+
+
+@functools.lru_cache(maxsize=2)
+def _arccos_at_threads(threads):
+    """{(alpha, d): (Gram exactly symmetric, digest of a 1000 x 700 cross matrix)} from a
+    fresh interpreter at the given OpenBLAS thread count."""
+    path = [str(pathlib.Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), PYTHONPATH=os.pathsep.join(filter(None, path)))
+    result = subprocess.run([sys.executable, "-c", _ARCCOS_AT_THREADS], capture_output=True, text=True,
+                            env=env, check=True)
+    return {(int(a), int(d)): (symmetric == "True", digest)
+            for a, d, symmetric, digest in map(str.split, result.stdout.splitlines())}
+
+
+@pytest.mark.parametrize("alpha, d", [(1, 3), (1, 5), (2, 3), (2, 5)])
+def test_arccos_kernel_matrix_is_symmetric_and_has_the_same_bits_at_one_and_two_threads(alpha, d):
+    # x.y is summed over coordinates elementwise, as |x - y| is: no BLAS call, whose split of
+    # a cross product with hundreds of columns may change at 2 threads, and no dsyrk Gram
+    one, two = _arccos_at_threads(1)[alpha, d], _arccos_at_threads(2)[alpha, d]
+    assert one[0] and two[0]
+    assert one[1] == two[1]
+
+
 def test_scalar_kernels_are_kernel_pairs_rows():
     # equal to a one-row call; to a row of a batched call up to the BLAS summation order
     rng = np.random.default_rng(400)
@@ -722,15 +758,6 @@ def test_product_of_a_symmetric_product_is_numpy_matmul_bit_for_bit(k):
     assert np.array_equal(_product(KQ.T, lam), KQ.T @ lam)
 
 
-@pytest.mark.parametrize("order", ["C", "F"])
-@pytest.mark.parametrize("d", [1, 3, 8])
-def test_product_of_a_matrix_and_its_transpose_is_numpy_matmul_bit_for_bit(order, d):
-    # numpy computes X X^T by dsyrk and mirrors the triangle, which rounds unlike dgemm
-    X = np.asarray(np.random.default_rng(170 + d).uniform(-0.7, 0.7, (100, d)), order=order)
-    assert np.array_equal(_product(X, X.T), X @ X.T)
-    assert np.array_equal(_product(X, X.copy().T), X @ X.copy().T)
-
-
 _NUMPY_BLAS_METHODS = {"dot", "vdot", "inner", "matmul", "tensordot"}
 
 
@@ -803,6 +830,12 @@ def test_kernel_paths_map_products_onto_blas_in_product_alone():
         if lines := _blas_product_lines(tree, exempt):
             found[module.__name__] = lines
     assert found == {}
-    # the exemption does not hide the product layout's own calls
+    # the exemption does not hide the product layout's own calls: ddot, dgemv and dgemm
     tree = ast.parse(pathlib.Path(splinerf.kernels.__file__).read_text(encoding="utf-8"))
-    assert len(_blas_product_lines(tree)) == 4
+    assert len(_blas_product_lines(tree)) == 3
+    # and neither module names dsyrk: a Gram is built on its triangle and mirrored by
+    # regression alone, and _product makes dgemm's call for X X^T, where numpy takes dsyrk
+    for module in (splinerf.kernels, splinerf.regression):
+        source = pathlib.Path(module.__file__).read_text(encoding="utf-8")
+        assert "dsyrk" not in {node.attr for node in ast.walk(ast.parse(source))
+                               if isinstance(node, ast.Attribute)}, module.__name__

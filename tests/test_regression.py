@@ -660,6 +660,21 @@ def test_spd_factor_product_is_the_unshifted_matrix_product(k):
     assert np.array_equal(factor.product(B), got)
 
 
+def test_spd_factor_product_writes_nothing():
+    # the product reads the factor's diagonal and corrects it by the kept one, so it works
+    # on a read-only factor and leaves every array of the factor as it was
+    rng = np.random.default_rng(94)
+    B = rng.standard_normal((60, 3))
+    factor = factor_spd(_alpha3_gram(rng), 1e-3)
+    want = [factor.product(B), factor.product(B[:, 0])]
+    held = (factor.factor[0].copy(), factor.diag.copy())
+    factor.factor[0].setflags(write=False)
+    factor.diag.setflags(write=False)
+    assert np.array_equal(factor.product(B), want[0])
+    assert np.array_equal(factor.product(B[:, 0]), want[1])
+    assert np.array_equal(factor.factor[0], held[0]) and np.array_equal(factor.diag, held[1])
+
+
 def test_factor_spd_rejects_bad_matrices():
     with pytest.raises(IllConditionedError):
         factor_spd(-np.eye(3))

@@ -125,6 +125,32 @@ def test_rejection_envelope_bound():
         assert ratio.max() <= 1.0 + 1e-12
 
 
+def test_tau_density_at_nan_and_infinity():
+    # NaN in, NaN out; at +-inf the density takes its limit 0, also where R tau overflows
+    with np.errstate(over="ignore"):
+        got = tau_density(np.array([np.nan, np.inf, -np.inf, 1e308]), 2.0)
+    assert np.isnan(got[0]) and np.array_equal(got[1:], np.zeros(3))
+    assert tau_density(np.inf, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("args", [
+    (1.5,), (np.float64(1.0),), (-1,), (2 ** 64,),  # seeds: not integral, or outside [0, 2^64)
+    (0, "a", 1.5), (0, np.float64(2.0)), (0, None),  # labels neither a string nor integral
+    (0, 2 ** 63), (0, -2 ** 63 - 1),                   # labels outside the signed 64-bit range
+])
+def test_derive_seed_rejects_keys_it_would_read_as_others(args):
+    # 1.5 would be read as 1, -1 as 2^64 - 1 and 2^64 as 0; 2^63 does not pack as a signed label
+    with pytest.raises(ValueError):
+        derive_seed(*args)
+
+
+def test_derive_seed_takes_numpy_integers_and_the_whole_key_range():
+    assert derive_seed(np.uint64(2 ** 64 - 1), np.int64(-5), "x") == derive_seed(2 ** 64 - 1, -5, "x")
+    assert derive_seed(0, 2 ** 63 - 1) != derive_seed(0, -2 ** 63)
+    top = RngStream(2 ** 64 - 1).generator().random()
+    assert RngStream(np.uint64(2 ** 64 - 1)).generator().random() == top
+
+
 def test_tau_density_normalization_and_origin():
     from oracles import adaptive_gauss_legendre
 
@@ -229,8 +255,7 @@ def test_sphere_moments_match_monte_carlo():
 
 
 def test_stream_validation():
-    with pytest.raises(ValueError):
-        RngStream(-1)
-    with pytest.raises(ValueError):
-        RngStream(2 ** 64)
+    for seed in (-1, 2 ** 64, 1.5, np.float64(2.0)):  # 1.5 would be the stream of seed 1
+        with pytest.raises(ValueError):
+            RngStream(seed)
     assert isinstance(SamplerError("x"), RuntimeError)
