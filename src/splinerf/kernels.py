@@ -13,13 +13,8 @@ built a row block at a time by one generator, which regression.predict also
 streams, so a prediction never holds an (n_test, n) matrix, and kernel_pairs
 takes its pairs a block at a time too.  A fit's Gram is built on its triangle
 i <= j only (_gram), and the arc-cosine matrix's x.y by coordinate products.
-
-Every BLAS call here and on regression's kernel paths goes through scipy.linalg,
-never numpy's own OpenBLAS (see regression's docstring for why), and _product is
-the one place that maps a row-major product onto column-major BLAS: it makes the
-call numpy's matmul makes, except for X X^T, which numpy computes by dsyrk, so at
-one thread it has numpy's bits; at more, the two OpenBLAS builds may split a
-larger dgemm differently.
+Every BLAS call here goes through scipy.linalg (see regression's docstring for
+why), and _product is the one place that maps a row-major product onto BLAS.
 """
 
 from __future__ import annotations
@@ -187,10 +182,10 @@ def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     """A @ B for a 2-D A and a vector or 2-D B by scipy's BLAS, into out (C-ordered, of
     the product's shape) if given.
 
-    It makes the column-major call that numpy's row-major matmul makes, so at one thread
-    its bits are matmul's: ddot for a 1 x 1 product, dgemv when A is one row or B one
-    column, else dgemm on (A B)^T = B^T A^T.  A matrix times its own transpose is no
-    exception here, where numpy takes dsyrk.
+    It makes ddot for a 1 x 1 product, dgemv when A is one row or B one column, else dgemm
+    on (A B)^T = B^T A^T: the column-major call of numpy's row-major matmul, but for X X^T,
+    which numpy makes by dsyrk.  So at one thread, and X X^T apart, its bits are matmul's;
+    at two, scipy's OpenBLAS may split a dgemm with hundreds of output columns differently.
     """
     (m, n), p = A.shape, B.shape[1] if B.ndim == 2 else 1
     out = np.empty((m,) + B.shape[1:]) if out is None else out

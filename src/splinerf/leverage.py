@@ -42,9 +42,8 @@ def nn_leverage(b, lam: float):
     With c = 1/(2 sqrt(lam)), p = c(1-b)/2 and v = c(1+b)/2 the score is the product
     4c sinh(p) cosh(v) (c cosh(p) sinh(v) + cosh(c)) / (cosh(c) (c sinh(c) + cosh(c))),
     written in q+ = exp(-c(1-b)), q- = exp(-c(1+b)) and exp(-2c), with expm1 for
-    each 1 - q: nothing overflows or cancels, so the score holds to ~1e-15 from
-    lam = 1e-8, where it peaks near 1/(2 sqrt(lam)), to lam = 1e300, where it
-    tends to (1-b)/(2 lam).
+    each 1 - q: nothing overflows or cancels from lam = 1e-8, where the score
+    peaks near 1/(2 sqrt(lam)), to lam = 1e300, where it tends to (1-b)/(2 lam).
     """
     lam = _check_lambda(lam)
     b = np.asarray(b, dtype=float)

@@ -6,19 +6,16 @@ hands the n x n matrix it built to that path, which factors it in the matrix's
 own memory, so a fit holds one n x n array; factor_spd is the same path on a
 copy.  Its layout is this module's alone: the triangle i <= j holds the matrix,
 the other its mirror, the diagonal the factor's, and an n-vector the matrix's.
+A fit reads K once before its first Cholesky, the mirror checking each band it
+writes for finiteness: the factored triangle only, no n x n mask.
 
-One BLAS on the kernel paths: numpy and scipy each load their own OpenBLAS, a
-pool's workers keep spinning for about 0.1 s after a call, and each library
-touches its own packing buffers (3.4 MiB each on a first 20000 x 20 by 20 x 20
-product, kernel-eval's).  On a 2-vCPU Xeon VM a 2000 x 2000 cho_factor at 2
-threads took 55 ms when idle or right after a scipy dgemm, and 111 ms right
-after a numpy matmul.  So every BLAS and LAPACK call of the factor path, the
-kernel fits and the dual and spline predictions goes through scipy.linalg, the
-library that factors.  A fit reads K once before its first Cholesky, the mirror
-checking each band it writes for finiteness: the factored triangle only, no n x n
-mask.  The feature space (fit_primal, the primal predict and the feature maps)
-keeps numpy's matmul: moved to scipy it kept fig1's and fig2's bytes and their
-peak RSS, and fig2 was no faster (0.747 s against 0.733 s in process).
+numpy and scipy each load their own OpenBLAS, and a Cholesky factor runs slower
+right after a call on numpy's pool.  So every BLAS and LAPACK call of the factor
+path, the kernel fits, the dual and spline predictions and kernel-eval goes
+through scipy.linalg, the library that factors; the feature space (fit_primal,
+the primal predict and the feature maps) keeps numpy's matmul, since moving it
+to scipy made it no faster.  CHANGES.md's entries "spline-d3 on one OpenBLAS
+pool" and "Kernel paths on scipy's OpenBLAS alone" hold the measurements.
 """
 
 from __future__ import annotations

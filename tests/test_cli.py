@@ -1,5 +1,7 @@
 import csv
 import io
+import pathlib
+import re
 import sys
 import tracemalloc
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 
 from oracles import kernel_eval_reference
-from splinerf.cli import GRID_POINTS, WRITE_CHUNK, _refined_grid, main
+from splinerf.cli import EXPERIMENTS, GRID_POINTS, WRITE_CHUNK, _refined_grid, build_parser, main
 from splinerf.features import FourierFeatureMap, NNFeatureMap
 from splinerf.kernels import PAIR_BLOCK, KernelSpec, kernel_pairs
 from splinerf.regression import SPDFactor
@@ -317,15 +319,29 @@ def test_fig2_m_grid_must_increase(tmp_path, capsys):
     assert not out.exists()
 
 
-# The flags each experiment reads, as README's CLI table lists them; every
-# experiment also reads --out.  Any other flag must keep its default.
-READS = {
-    "fig1": {"--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
-    "fig2": {"--radius", "--n", "--m", "--reps", "--seed", "--gnuplot"},
-    "fig3": {"--n", "--lambda", "--seed", "--gnuplot"},
-    "kernel-eval": {"--alpha", "--dim", "--radius", "--kernel"},
-    "feature-sample": {"--dim", "--radius", "--m", "--kind", "--seed"},
-}
+README = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+
+
+def _readme_experiments():
+    """README's CLI table: experiment -> (the flags it reads, {flag: its default}, default --out)."""
+    lines = README.splitlines()
+    start = lines.index("| experiment | flags it reads | its defaults |") + 2
+    table = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, reads, defaults = [re.findall(r"`([^`]*)`", cell) for cell in line.strip("|").split("|")]
+        tokens = defaults[0].split()
+        given = dict(zip((flag[2:] for flag in tokens[::2]), tokens[1::2]))
+        if len(defaults) > 1:  # fig2's m-grid
+            given["m"] = defaults[1]
+        table[name[0]] = (set(reads[0].split()), given, given.pop("out"))
+    return table
+
+
+# The flags each experiment reads, as README's CLI table lists them (checked against
+# cli.EXPERIMENTS below); every experiment also reads --out.  Any other flag must keep its default.
+READS = {name: reads for name, (reads, _, _) in _readme_experiments().items()}
 # A value other than the default for every flag but --out (None: a switch).
 OTHER_VALUE = {"--alpha": "1", "--dim": "2", "--radius": "2.0", "--n": "64", "--m": "64",
                "--lambda": "0.1", "--reps": "3", "--seed": "5", "--gnuplot": None,
@@ -359,6 +375,29 @@ def _argv(experiment, flags, out):
     for flag, value in flags.items():
         argv += [flag] if value is None else [flag, value]
     return argv
+
+
+def test_readme_cli_table_is_the_code():
+    table = _readme_experiments()
+    assert table.keys() == EXPERIMENTS.keys()
+    for name, (reads, defaults, out) in table.items():
+        _, code_out, code_reads = EXPERIMENTS[name]
+        assert reads == {f"--{flag}" for flag in code_reads}, name
+        assert defaults == {flag: " ".join(map(str, np.ravel(value)))
+                            for flag, value in code_reads.items() if value is not None}, name
+        assert out == code_out, name
+    text = " ".join(README.split())
+    actions = {action.option_strings[0]: action for action in build_parser()._actions}
+    del actions["-h"]
+    assert re.search(r"Flags: `([^`]*)`", text)[1].split() == list(actions)
+    fixed, unset = re.search(r"unless it keeps its default: `([^`]*)`, with `([^`]*)` unset", text).groups()
+    tokens = fixed.split()
+    for flag, value in zip(tokens[::2], tokens[1::2]):
+        assert type(actions[flag].default)(value) == actions[flag].default, flag
+    assert all(actions[flag].default in (None, False) for flag in unset.split())
+    assert {*tokens[::2], *unset.split(), "--experiment", "--out"} == actions.keys()
+    for flag in ("--kind", "--kernel"):
+        assert re.search(rf"`{flag}` (?:is )?one of `([^`]*)`", text)[1].split() == list(actions[flag].choices)
 
 
 @pytest.mark.parametrize("experiment, flag, value", REJECTED)
