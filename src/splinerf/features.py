@@ -12,7 +12,7 @@ from numbers import Integral
 import numpy as np
 
 from .kernels import KernelSpec, UnsupportedOrderError, _as_points
-from .sampling import RngStream, _taus, _unit_rows
+from .sampling import RngStream, _check_integer, _taus, _unit_rows
 
 __all__ = [
     "NNFeatureMap",
@@ -171,7 +171,7 @@ def _doubled(first, factors, rows: int) -> np.ndarray:
 
 def sample_nn_ensemble(spec: KernelSpec, m: int, stream: RngStream) -> NNFeatureMap:
     """m i.i.d. pairs: direction uniform on the sphere, then bias uniform on [-R, R]."""
-    rng = stream.generator()
+    m, rng = _check_integer("sample count", m, 0, 2 ** 63), stream.generator()
     directions = _unit_rows(rng, m, spec.d)
     return NNFeatureMap(spec, directions, rng.uniform(-spec.R, spec.R, size=m))
 

@@ -8,13 +8,14 @@ with an r x r coefficient matrix C built once per KernelSpec from exact
 sphere moments, and c(alpha, d) is rounded once from its exact value.  No
 sampling is involved.  Every evaluator forms |x - y| from exact coordinate
 differences in one helper, so the distance term is exactly 0 at x = y, and
-SciPy's spatial and special modules are never imported.  Cross kernels are
-built a row block at a time by one generator, which regression.predict also
-streams, so a prediction never holds an (n_test, n) matrix, and kernel_pairs
-takes its pairs a block at a time too.  A fit's Gram is built on its triangle
-i <= j only (_gram), and the arc-cosine matrix's x.y by coordinate products.
-Every BLAS call here goes through scipy.linalg (see regression's docstring for
-why), and _product is the one place that maps a row-major product onto BLAS.
+SciPy's spatial and special modules are never imported.  Every cross kernel,
+arc-cosine too, is built a row block at a time by one generator, which
+regression.predict also streams, so a prediction never holds an (n_test, n)
+matrix.  kernel_pairs takes blocks of pairs through the same evaluators, so an
+arc-cosine pair equals its matrix entry bit for bit.  A fit's Gram is built on
+its triangle i <= j only (_gram).  Every BLAS call here goes through scipy.linalg
+(see regression's docstring for why), and _product is the one place that maps a
+row-major product onto BLAS.
 """
 
 from __future__ import annotations
@@ -122,8 +123,11 @@ def monomial_matrix(X, exponents) -> np.ndarray:
     powers[..., 0] = 1.0
     for k in range(1, powers.shape[2]):  # repeated products: no pow, whose negative bases are slow
         np.multiply(powers[..., k - 1], X, out=powers[..., k])
-    # the gather leaves M transposed in memory, and BLAS rounds M @ C by layout
-    return np.ascontiguousarray(np.prod(powers[:, np.arange(X.shape[1]), E], axis=2))
+    # coordinates multiplied left to right into one C-ordered M, since BLAS rounds M @ C by layout
+    M = np.take(powers[:, 0], E[:, 0], axis=1)
+    for j in range(1, X.shape[1]):
+        M *= powers[:, j, E[:, j]]
+    return M
 
 
 @lru_cache(maxsize=32)
@@ -204,25 +208,27 @@ def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _arccos_from_products(sq_x, sq_y, dot_xy, spec: KernelSpec):
+def _arccos(A, B, spec: KernelSpec) -> np.ndarray:
+    """Arc-cosine kernel (alpha <= 2, checked by _validated) over the broadcast of A and B,
+    shape (..., d): x.y summed over coordinates left to right and squared norms by einsum,
+    the same operations for a pair as for a matrix entry, so the two have the same bits."""
+    dot = A[..., 0] * B[..., 0]
+    for j in range(1, spec.d):
+        dot += A[..., j] * B[..., j]
     R2 = spec.R ** 2
-    s2x = sq_x + R2
-    s2y = sq_y + R2
+    s2x = np.einsum("...j,...j->...", A, A) + R2
+    s2y = np.einsum("...j,...j->...", B, B) + R2
     # joint square root keeps cos(phi) exactly 1 at x = y
     denom = np.sqrt(s2x * s2y)
-    cos_phi = np.clip((dot_xy + R2) / denom, -1.0, 1.0)
+    cos_phi = np.clip((dot + R2) / denom, -1.0, 1.0)
     phi = np.arccos(cos_phi)
     sin_phi = np.sqrt(np.clip(1.0 - cos_phi ** 2, 0.0, None))
-    d = spec.d
     if spec.alpha == 0:
         return (np.pi - phi) / (2.0 * np.pi)
     if spec.alpha == 1:
-        return denom / (2.0 * np.pi * (d + 1)) * (sin_phi + (np.pi - phi) * cos_phi)
-    if spec.alpha == 2:
-        return s2x * s2y / (2.0 * np.pi * (d + 1) * (d + 3)) * (
-            3.0 * sin_phi * cos_phi + (np.pi - phi) * (1.0 + 2.0 * cos_phi ** 2)
-        )
-    raise UnsupportedOrderError(f"arc-cosine kernel implemented for alpha <= 2, got {spec.alpha}")
+        return denom / (2.0 * np.pi * (spec.d + 1)) * (sin_phi + (np.pi - phi) * cos_phi)
+    return s2x * s2y / (2.0 * np.pi * (spec.d + 1) * (spec.d + 3)) * (
+        3.0 * sin_phi * cos_phi + (np.pi - phi) * (1.0 + 2.0 * cos_phi ** 2))
 
 
 def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
@@ -256,32 +262,35 @@ def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
 
 def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = False):
     """Yield (i, K[i:i + rows]) for the cross kernel of Xa and Xb, about
-    DISTANCE_BLOCK_ENTRIES entries at a time: kernel_matrix's kind "nn" or
-    "pol_only", or "distance" for distance_kernel_matrix; upper as for _gram.
+    DISTANCE_BLOCK_ENTRIES entries at a time: any kernel_matrix kind, or
+    "distance" for distance_kernel_matrix; upper as for _gram.
 
     A block is out[i:i + rows] when out is given, else one buffer that the next
-    block overwrites.  Both matrices and the streamed predictions get their
+    block overwrites.  Every matrix and the streamed predictions get their
     rows from these same calls, so a streamed row is bit-equal to that row of
-    the assembled matrix.
+    the assembled matrix; an arc-cosine block is _arccos of its rows.
     """
     na, nb = len(Xa), len(Xb)
     step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, nb))
     buf = np.empty((min(step, na), nb)) if out is None else None
-    if kind != "distance":
+    if kind in ("nn", "pol_only"):
         # each block is (M(Xa) C)[rows] M(Xb)^T, written in place
         E, C = _pol_coefficients(spec)
         MaC, MbT = _product(monomial_matrix(Xa, E), C), monomial_matrix(Xb, E).T
-    # coordinate-contiguous copies, so each coordinate difference reads contiguous memory
-    A, B = np.ascontiguousarray(Xa.T).T, np.ascontiguousarray(Xb.T).T
-    dist, tmp = np.empty((2, min(step, na) * nb))
+    if kind in ("nn", "distance"):
+        # coordinate-contiguous copies, so each coordinate difference reads contiguous memory
+        A, B = np.ascontiguousarray(Xa.T).T, np.ascontiguousarray(Xb.T).T
+        dist, tmp = np.empty((2, min(step, na) * nb))
     for i in range(0, na, step):
         rows = min(step, na - i)
         block = buf[:rows] if out is None else out[i:i + rows]
-        if kind == "distance":
+        if kind == "arccos":
+            block[...] = _arccos(Xa[i:i + rows, None, :], Xb[None, :, :], spec)
+        elif kind == "distance":
             block[...] = 0.0
         else:
             _product(MaC[i:i + rows], MbT, block)
-        if kind != "pol_only":
+        if kind in ("nn", "distance"):
             j = min(i, nb) if upper else 0
             shape = (rows, nb - j)
             block[:, j:] += _distance_term(A[i:i + rows, None, :], B[None, j:, :], spec,
@@ -308,6 +317,8 @@ def _gram(X, spec: KernelSpec, kind: str) -> np.ndarray:
 def _validated(Xa, Xb, spec: KernelSpec, kind: str):
     if kind not in KERNEL_KINDS:
         raise ValueError(f"kernel kind must be one of {KERNEL_KINDS}, got {kind!r}")
+    if kind == "arccos" and spec.alpha > 2:
+        raise UnsupportedOrderError(f"arc-cosine kernel implemented for alpha <= 2, got {spec.alpha}")
     return _as_points(Xa, spec.d), _as_points(Xb, spec.d)
 
 
@@ -326,12 +337,11 @@ def kernel_pairs(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
         raise ValueError(f"paired points need equal shapes, got {Xa.shape} and {Xb.shape}")
     n = len(Xa)
     out = np.empty(n)
-    for i in range(0, max(n, 1), PAIR_BLOCK):  # one block, if empty, to raise what one call raises
+    for i in range(0, n, PAIR_BLOCK):
         rows = slice(max(0, min(i, n - PAIR_BLOCK)), i + PAIR_BLOCK)
         a, z = Xa[rows], Xb[rows]
         if kind == "arccos":
-            out[rows] = _arccos_from_products(np.einsum("ij,ij->i", a, a), np.einsum("ij,ij->i", z, z),
-                                              np.einsum("ij,ij->i", a, z), spec)
+            out[rows] = _arccos(a, z, spec)
             continue
         E, C = _pol_coefficients(spec)
         out[rows] = np.einsum("ij,ij->i", _product(monomial_matrix(a, E), C), monomial_matrix(z, E))
@@ -352,16 +362,7 @@ def arccos_kernel(x, y, spec: KernelSpec) -> float:
 
 def kernel_matrix(Xa, Xb, spec: KernelSpec, kind: str = "nn") -> np.ndarray:
     """Cross kernel matrix K[i, j] = k(Xa[i], Xb[j]) for the chosen kernel kind, C-ordered."""
-    Xa, Xb = _validated(Xa, Xb, spec, kind)
-    if kind == "arccos":
-        dot = np.multiply.outer(Xa[:, 0], Xb[:, 0])  # x.y summed over coordinates in place
-        tmp = np.empty_like(dot)
-        for j in range(1, spec.d):
-            dot += np.multiply.outer(Xa[:, j], Xb[:, j], out=tmp)
-        del tmp
-        sq_a, sq_b = np.einsum("ij,ij->i", Xa, Xa), np.einsum("ij,ij->i", Xb, Xb)
-        return np.asarray(_arccos_from_products(sq_a[:, None], sq_b[None, :], dot, spec))
-    return _assembled(Xa, Xb, spec, kind)
+    return _assembled(*_validated(Xa, Xb, spec, kind), spec, kind)
 
 
 def distance_kernel_matrix(Xa, Xb, spec: KernelSpec) -> np.ndarray:

@@ -110,8 +110,7 @@ def _rejection_round(R: float, k: int, rng: np.random.Generator):
 def _taus(R: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """m frequency magnitudes from rng by vectorised rejection rounds."""
     _check_radius(R)
-    if m < 0:
-        raise ValueError(f"sample count must be non-negative, got {m}")
+    m = _check_integer("sample count", m, 0, 2 ** 63)
     chunks = []
     have = 0
     proposals_used = 0
@@ -141,6 +140,6 @@ def tau_rejection_stats(R: float, n_proposals: int, stream: RngStream):
     """
     _check_radius(R)
     rng = stream.generator()
-    accepted = _rejection_round(R, int(n_proposals), rng)
+    accepted = _rejection_round(R, _check_integer("proposal count", n_proposals, 0, 2 ** 63), rng)
     return accepted, accepted.size
 

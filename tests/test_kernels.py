@@ -208,6 +208,14 @@ def test_arccos_unsupported_order():
         arccos_kernel(np.zeros(2), np.zeros(2), KernelSpec(3, 2))
 
 
+@pytest.mark.parametrize("builder, na, nb", [(kernel_matrix, 0, 0), (kernel_matrix, 0, 2),
+                                             (kernel_matrix, 2, 0), (kernel_pairs, 0, 0)])
+def test_arccos_unsupported_order_on_empty_points(builder, na, nb):
+    # the order is checked before any block, so an input with no block raises too
+    with pytest.raises(UnsupportedOrderError, match="alpha <= 2"):
+        builder(np.zeros((na, 2)), np.zeros((nb, 2)), KernelSpec(3, 2), kind="arccos")
+
+
 def test_gram_single_point():
     K = kernel_matrix(np.zeros((1, 2)), np.zeros((1, 2)), KernelSpec(0, 2))
     assert abs(K[0, 0] - 0.5) < 1e-15
@@ -455,6 +463,20 @@ def test_monomial_matrix_matches_broadcast_powers(alpha, d):
     assert M.flags.c_contiguous  # M @ C rounds by memory layout
 
 
+def test_monomial_matrix_peak_memory_below_three_outputs():
+    # the coordinates' powers are gathered one coordinate at a time, never as an (n, r, d) array
+    X = np.random.default_rng(132).uniform(-1.0, 1.0, (4096, 3))
+    E = np.array(monomial_exponents(3, 3))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        M = monomial_matrix(X, E)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * M.nbytes
+
+
 @pytest.mark.parametrize("alpha", range(7))
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_pol_part_matches_gaussian_moment_oracle(alpha, d):
@@ -482,13 +504,15 @@ def test_pol_part_alpha0_is_exactly_one_half():
 def test_kernel_matrix_peak_memory_below_four_outputs():
     rng = np.random.default_rng(111)
     # the second case is fig3's kernel, whose distance term is added a row block at a time
-    for X, spec, bound in [(rng.uniform(-0.5, 0.5, (1000, 3)), KernelSpec(6, 3), 4),
-                           (np.linspace(-1.0, 1.0, 1000)[:, None], KernelSpec(0, 1), 2)]:
-        kernel_matrix(X[:10], X[:10], spec)  # build the cached coefficients outside the window
+    # the arccos Gram is built a row block at a time too
+    for X, spec, kind, bound in [(rng.uniform(-0.5, 0.5, (1000, 3)), KernelSpec(6, 3), "nn", 4),
+                                 (np.linspace(-1.0, 1.0, 1000)[:, None], KernelSpec(0, 1), "nn", 2),
+                                 (rng.uniform(-0.5, 0.5, (2000, 3)), KernelSpec(1, 3), "arccos", 2)]:
+        kernel_matrix(X[:10], X[:10], spec, kind)  # build the cached coefficients outside the window
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
-            K = kernel_matrix(X, X, spec)
+            K = kernel_matrix(X, X, spec, kind)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -554,8 +578,7 @@ def test_kernel_pairs_arccos_match_kernel_matrix(alpha, d):
     spec = KernelSpec(alpha, d, 1.3)
     Xa, Xb = _ball_pairs(rng, 23, d, spec.R)
     want = np.diag(kernel_matrix(Xa, Xb, spec, kind="arccos"))
-    got = kernel_pairs(Xa, Xb, spec, "arccos")
-    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert np.array_equal(kernel_pairs(Xa, Xb, spec, "arccos"), want)
 
 
 _SPEC_1_2 = KernelSpec(1, 2)

@@ -86,6 +86,23 @@ def test_radius_must_be_positive_and_finite(R):
             make()
 
 
+_COUNTED = {
+    "sample_fourier_taus": lambda m: sample_fourier_taus(1.0, m, RngStream(1)),
+    "tau_rejection_stats": lambda m: tau_rejection_stats(1.0, m, RngStream(1))[0],
+    "sample_nn_ensemble": lambda m: sample_nn_ensemble(KernelSpec(0, 2), m, RngStream(1)).directions,
+    "sample_fourier_ensemble": lambda m: sample_fourier_ensemble(KernelSpec(0, 2), m, RngStream(1)).omegas,
+}
+
+
+@pytest.mark.parametrize("sampler", _COUNTED)
+def test_sample_counts_are_checked_like_seeds(sampler):
+    # a float count, even an integral one, is not a count, and a numpy integer is
+    for bad in (2.0, 2.7, -3):
+        with pytest.raises(ValueError, match="count must be an integer"):
+            _COUNTED[sampler](bad)
+    assert np.array_equal(_COUNTED[sampler](np.int64(3)), _COUNTED[sampler](3))
+
+
 def test_tau_scalar_deterministic():
     tau = sample_fourier_taus(1.0, 1, RngStream(9))
     assert tau.shape == (1,)
