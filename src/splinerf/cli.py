@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from array import array
 from contextlib import nullcontext
 from itertools import islice
@@ -29,6 +30,7 @@ INVERSION_JITTER = 1e-10
 FIG1_RESIDUAL_TOL = 1e-6
 GRID_POINTS = 512
 WRITE_CHUNK = 4096  # CSV rows formatted per write: the text in memory is a chunk's
+READ_CHUNK = 1024  # kernel-eval stdin lines parsed per call; 4096 held more memory, no faster
 
 
 def _fmt(value) -> str:
@@ -37,19 +39,32 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: str, metadata, header, rows) -> None:
-    """Write the metadata lines, the header and rows, any iterable, WRITE_CHUNK rows per write."""
+def _write_csv(out: str, metadata, header, text) -> None:
+    """Write the metadata lines, the header and text, an iterable of CSV row chunks."""
     with nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(f"# {key}={_fmt(val)}\n" for key, val in metadata) + ",".join(header) + "\n")
-        rows = iter(rows)
-        while chunk := "".join(",".join(map(_fmt, row)) + "\n" for row in islice(rows, WRITE_CHUNK)):
+        for chunk in text:
             fh.write(chunk)
 
 
-def _columns(*columns):
-    """Rows of equal-length 1-D arrays as Python numbers, converted WRITE_CHUNK rows at a time."""
-    for i in range(0, len(columns[0]), WRITE_CHUNK):
-        yield from zip(*(column[i:i + WRITE_CHUNK].tolist() for column in columns))
+def _rows(rows):
+    """CSV text of rows, any iterable of tuples, WRITE_CHUNK rows per chunk."""
+    rows = iter(rows)
+    while chunk := "".join(",".join(map(_fmt, row)) + "\n" for row in islice(rows, WRITE_CHUNK)):
+        yield chunk
+
+
+def _columns(index, *columns):
+    """CSV text of an integer column and float columns, equal-length 1-D arrays, WRITE_CHUNK
+    rows per chunk, each formatted by one % operation: %d and %.17g write what _fmt does."""
+    width = 1 + len(columns)
+    row = "%d" + ",%.17g" * len(columns) + "\n"
+    for i in range(0, len(index), WRITE_CHUNK):
+        rows = min(WRITE_CHUNK, len(index) - i)
+        values = [None] * (rows * width)
+        for j, column in enumerate((index,) + columns):
+            values[j::width] = column[i:i + rows].tolist()
+        yield row * rows % tuple(values)
 
 
 def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
@@ -103,7 +118,7 @@ def run_fig1(args: argparse.Namespace) -> None:
     metadata = [("experiment", "fig1"), ("alpha", spec.alpha), ("radius", args.radius),
                 ("n", args.n), ("m", args.m), ("draws", args.reps), ("seed", args.seed),
                 ("base_jitter", 0.0)]
-    _write_csv(args.out, metadata, ["draw", "method", "x", "f"], rows)
+    _write_csv(args.out, metadata, ["draw", "method", "x", "f"], _rows(rows))
     _write_gnuplot(args, (
         "set datafile separator ','\n"
         f"plot '{args.out}' using 3:(strcol(2) eq \"exact\" ? $4 : 1/0) with lines title 'exact', \\\n"
@@ -137,7 +152,7 @@ def run_fig2(args: argparse.Namespace) -> None:
                 ("n", n), ("reps", args.reps), ("m_grid", " ".join(str(m) for m in args.m)),
                 ("test_points", GRID_POINTS), ("seed", args.seed),
                 ("jitter", INVERSION_JITTER)]
-    _write_csv(args.out, metadata, ["m", "rep", "method", "error"], rows)
+    _write_csv(args.out, metadata, ["m", "rep", "method", "error"], _rows(rows))
     _write_gnuplot(args, (
         "set datafile separator ','\nset logscale xy\n"
         f"plot '{args.out}' using 1:(strcol(3) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
@@ -156,7 +171,7 @@ def run_fig3(args: argparse.Namespace) -> None:
             rows.append((prof.method, param, emp, theo))
     metadata = [("experiment", "fig3"), ("lambda", lam), ("n", args.n),
                 ("params_per_method", profiles[0].params.size), ("seed", args.seed)]
-    _write_csv(args.out, metadata, ["method", "param", "empirical", "theoretical"], rows)
+    _write_csv(args.out, metadata, ["method", "param", "empirical", "theoretical"], _rows(rows))
     _write_gnuplot(args, (
         "set datafile separator ','\n"
         f"plot '{args.out}' using 2:(strcol(1) eq \"nn\" ? $3 : 1/0) title 'nn empirical', \\\n"
@@ -167,27 +182,43 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
     """Evaluate the kernel on point pairs read from stdin, one pair per line.
 
     Line numbers and coordinates are parsed into flat arrays, 8 (2d + 1) bytes a pair,
-    then every valid pair is evaluated before a row is written: a malformed line or one
-    with a non-finite coordinate is reported by its number and gets no row, a kernel
-    error (such as an unsupported alpha) is reported once, with no rows written.
+    READ_CHUNK lines at a time: by one np.loadtxt call when it gives a row of 2d reals for
+    every line, else line by line by float(), which also takes what loadtxt rejects (1_0,
+    non-ASCII digits) and names a bad token; where both parse, the values are equal.
+    Every valid pair is evaluated before a row is written: a malformed line or one with a
+    non-finite coordinate is reported by its number and gets no row, a kernel error (such
+    as an unsupported alpha) is reported once, with no rows written.
     """
     d = args.dim
     spec = KernelSpec(args.alpha, d, args.radius)
     linenos, coords = array("q"), array("d")
     errors = []  # (line number, message)
-    for lineno, line in enumerate(sys.stdin, start=1):
-        toks = line.split()
-        if not toks:
-            continue
+    stdin, first = iter(sys.stdin), 1
+    while chunk := list(islice(stdin, READ_CHUNK)):
         try:
-            values = list(map(float, toks))  # a list, so a bad token adds nothing to coords
-            if len(values) != 2 * d:
-                raise ValueError(f"expected {2 * d} reals, got {len(values)}")
-        except ValueError as exc:
-            errors.append((lineno, str(exc)))
-            continue
-        linenos.append(lineno)
-        coords.extend(values)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # a chunk of blank lines has no data
+                parsed = np.loadtxt(chunk, ndmin=2, comments=None)
+        except ValueError:
+            parsed = None
+        if parsed is not None and parsed.shape == (len(chunk), 2 * d):  # blank lines are skipped
+            linenos.extend(range(first, first + len(chunk)))
+            coords.frombytes(memoryview(parsed).cast("B"))
+        else:
+            for lineno, line in enumerate(chunk, start=first):
+                toks = line.split()
+                if not toks:
+                    continue
+                try:
+                    values = list(map(float, toks))  # a list, so a bad token adds nothing to coords
+                    if len(values) != 2 * d:
+                        raise ValueError(f"expected {2 * d} reals, got {len(values)}")
+                except ValueError as exc:
+                    errors.append((lineno, str(exc)))
+                    continue
+                linenos.append(lineno)
+                coords.extend(values)
+        first += len(chunk)
     lines = np.frombuffer(linenos, dtype=np.int64)
     P = np.frombuffer(coords).reshape(len(lines), 2 * d)
     finite = np.isfinite(P).all(axis=1)  # one pass over every pair, after parsing
@@ -198,13 +229,13 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
         print(f"line {lineno}: {message}", file=sys.stderr)
     n_bad = len(errors)
     try:
-        rows = _columns(lines, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel))
+        text = _columns(lines, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel))
     except ValueError as exc:
         print(f"kernel-eval: {exc}", file=sys.stderr)
-        rows, n_bad = (), n_bad + 1
+        text, n_bad = (), n_bad + 1
     metadata = [("experiment", "kernel-eval"), ("alpha", args.alpha), ("dim", d),
                 ("radius", args.radius), ("kernel", args.kernel)]
-    _write_csv(args.out, metadata, ["line", "value"], rows)
+    _write_csv(args.out, metadata, ["line", "value"], text)
     return 1 if n_bad else 0
 
 

@@ -49,6 +49,8 @@ __all__ = [
 KERNEL_KINDS = ("nn", "arccos", "pol_only")
 DISTANCE_BLOCK_ENTRIES = 2 ** 15  # distance-term entries per row block: small temporaries
 PAIR_BLOCK = 4096  # rows per kernel_pairs block; fewer change M(Xa) C's bits (see there)
+# inner lengths OpenBLAS's dgemm sums in registers before it adds C: its K block is longer
+DGEMM_ONE_PASS = 256
 
 
 class UnsupportedOrderError(ValueError):
@@ -182,18 +184,24 @@ def _gemv(A: np.ndarray, x: np.ndarray, out: np.ndarray) -> None:
     blas.dgemv(1.0, a, x, y=out, overwrite_y=True, trans=transposed)
 
 
-def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+def _product(A: np.ndarray, B: np.ndarray, out=None, accumulate: bool = False) -> np.ndarray:
     """A @ B for a 2-D A and a vector or 2-D B by scipy's BLAS, into out (C-ordered, of
-    the product's shape) if given.
+    the product's shape) if given, or added onto out if accumulate.
 
     It makes ddot for a 1 x 1 product, dgemv when A is one row or B one column, else dgemm
     on (A B)^T = B^T A^T: the column-major call of numpy's row-major matmul, but for X X^T,
     which numpy makes by dsyrk.  So at one thread, and X X^T apart, its bits are matmul's;
     at two, scipy's OpenBLAS may split a dgemm with hundreds of output columns differently.
+    An accumulated entry is out + (A @ B) rounded once, as adding the product afterwards
+    gives: dgemm adds out (BLAS beta = 1) after it sums an entry's products, at inner
+    lengths up to DGEMM_ONE_PASS; dgemv adds out in before its last partial sums, so the
+    other products are made apart and added.
     """
     (m, n), p = A.shape, B.shape[1] if B.ndim == 2 else 1
     out = np.empty((m,) + B.shape[1:]) if out is None else out
-    if not out.size or not n:  # BLAS rejects an empty operand
+    if accumulate and (m == 1 or p == 1 or not n or n > DGEMM_ONE_PASS):
+        out += _product(A, B)
+    elif not out.size or not n:  # BLAS rejects an empty operand
         out[...] = 0.0
     elif m == 1 and p == 1:
         out.reshape(-1)[0] = blas.ddot(A[0], B.reshape(-1))
@@ -203,21 +211,23 @@ def _product(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
         _gemv(B.T, A[0], out.reshape(-1))
     else:
         (b, b_transposed), (a, a_transposed) = _fortran(B), _fortran(A)
-        blas.dgemm(1.0, b, a, trans_a=not b_transposed, trans_b=not a_transposed,
-                   c=out.T, overwrite_c=True)
+        blas.dgemm(1.0, b, a, beta=float(accumulate), trans_a=not b_transposed,
+                   trans_b=not a_transposed, c=out.T, overwrite_c=True)
     return out
 
 
 def _arccos(A, B, spec: KernelSpec) -> np.ndarray:
     """Arc-cosine kernel (alpha <= 2, checked by _validated) over the broadcast of A and B,
-    shape (..., d): x.y summed over coordinates left to right and squared norms by einsum,
-    the same operations for a pair as for a matrix entry, so the two have the same bits."""
-    dot = A[..., 0] * B[..., 0]
+    shape (..., d): x.y and the squared norms summed over coordinates left to right, the same
+    operations for a pair as for a matrix entry and for either memory layout, so all have
+    the same bits."""
+    dot, sqa, sqb = A[..., 0] * B[..., 0], A[..., 0] * A[..., 0], B[..., 0] * B[..., 0]
     for j in range(1, spec.d):
         dot += A[..., j] * B[..., j]
+        sqa += A[..., j] * A[..., j]
+        sqb += B[..., j] * B[..., j]
     R2 = spec.R ** 2
-    s2x = np.einsum("...j,...j->...", A, A) + R2
-    s2y = np.einsum("...j,...j->...", B, B) + R2
+    s2x, s2y = sqa + R2, sqb + R2
     # joint square root keeps cos(phi) exactly 1 at x = y
     denom = np.sqrt(s2x * s2y)
     cos_phi = np.clip((dot + R2) / denom, -1.0, 1.0)
@@ -231,33 +241,34 @@ def _arccos(A, B, spec: KernelSpec) -> np.ndarray:
         3.0 * sin_phi * cos_phi + (np.pi - phi) * (1.0 + 2.0 * cos_phi ** 2))
 
 
-def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None) -> np.ndarray:
+def _distance_term(A, B, spec: KernelSpec, out=None, tmp=None, sq=None) -> np.ndarray:
     """c(alpha, d) |a - b|^(2 alpha + 1) / R over the broadcast of A and B, shape (..., d),
-    computed in out with tmp as scratch (buffers of the broadcast shape, or None).
+    written to out, with tmp and sq (|a - b|^2, default out) as scratch: buffers of the
+    broadcast shape, or None; out may overlap sq, since only the last step writes it.
 
-    With s = |a - b|^2 summed over coordinates in out, the power is r s^alpha for r = sqrt(s),
+    With s = |a - b|^2 summed over coordinates in sq, the power is r s^alpha for r = sqrt(s),
     by alpha products and no pow: exactly r at alpha = 0, and a few ulps from the rounded
     power at alpha >= 1.  Coincident points give 0, signed as c(alpha, d).
     """
     shape = np.broadcast_shapes(A.shape, B.shape)[:-1]
     out = np.empty(shape) if out is None else out
     tmp = np.empty(shape) if tmp is None else tmp
+    sq = out if sq is None else sq
     # b - a is -(a - b) exactly, so its square is the same; a copy and an in-place
     # subtract beat numpy's broadcast subtract of a column from a row
-    np.copyto(out, B[..., 0])
-    out -= A[..., 0]
-    np.square(out, out=out)
+    np.copyto(sq, B[..., 0])
+    sq -= A[..., 0]
+    np.square(sq, out=sq)
     for j in range(1, spec.d):
         np.copyto(tmp, B[..., j])
         tmp -= A[..., j]
-        out += np.square(tmp, out=tmp)
-    r = np.sqrt(out, out=tmp)
+        sq += np.square(tmp, out=tmp)
+    r = np.sqrt(sq, out=tmp)
     for _ in range(spec.alpha):
-        r *= out
-    np.multiply(r, c_alpha(spec), out=out)
-    if spec.R != 1:  # x / 1 is x
-        out /= spec.R
-    return out
+        r *= sq
+    if spec.R == 1:  # x / 1 is x
+        return np.multiply(r, c_alpha(spec), out=out)
+    return np.divide(np.multiply(r, c_alpha(spec), out=r), spec.R, out=out)
 
 
 def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = False):
@@ -266,36 +277,41 @@ def _kernel_rows(Xa, Xb, spec: KernelSpec, kind: str, out=None, upper: bool = Fa
     "distance" for distance_kernel_matrix; upper as for _gram.
 
     A block is out[i:i + rows] when out is given, else one buffer that the next
-    block overwrites.  Every matrix and the streamed predictions get their
-    rows from these same calls, so a streamed row is bit-equal to that row of
-    the assembled matrix; an arc-cosine block is _arccos of its rows.
+    block overwrites.  The distance term is written straight into the block, and
+    the polynomial part of "nn" added onto it by BLAS, so each entry is written
+    once and the one scratch buffer is _distance_term's.  Every matrix and the
+    streamed predictions get their rows from these same calls, so a streamed row
+    is bit-equal to that row of the assembled matrix; an arc-cosine block is
+    _arccos of its rows.
     """
     na, nb = len(Xa), len(Xb)
     step = max(1, DISTANCE_BLOCK_ENTRIES // max(1, nb))
     buf = np.empty((min(step, na), nb)) if out is None else None
     if kind in ("nn", "pol_only"):
-        # each block is (M(Xa) C)[rows] M(Xb)^T, written in place
+        # each block gets (M(Xa) C)[rows] M(Xb)^T
         E, C = _pol_coefficients(spec)
         MaC, MbT = _product(monomial_matrix(Xa, E), C), monomial_matrix(Xb, E).T
     if kind in ("nn", "distance"):
         # coordinate-contiguous copies, so each coordinate difference reads contiguous memory
         A, B = np.ascontiguousarray(Xa.T).T, np.ascontiguousarray(Xb.T).T
-        dist, tmp = np.empty((2, min(step, na) * nb))
+        tmp = np.empty(min(step, na) * nb)
     for i in range(0, na, step):
         rows = min(step, na - i)
         block = buf[:rows] if out is None else out[i:i + rows]
         if kind == "arccos":
             block[...] = _arccos(Xa[i:i + rows, None, :], Xb[None, :, :], spec)
-        elif kind == "distance":
-            block[...] = 0.0
-        else:
-            _product(MaC[i:i + rows], MbT, block)
         if kind in ("nn", "distance"):
             j = min(i, nb) if upper else 0
-            shape = (rows, nb - j)
-            block[:, j:] += _distance_term(A[i:i + rows, None, :], B[None, j:, :], spec,
-                                           dist[:rows * (nb - j)].reshape(shape),
-                                           tmp[:rows * (nb - j)].reshape(shape))
+            # |a - b|^2 in the block's last rows (nb - j) entries: contiguous, where numpy's
+            # loops are faster than on the block's columns j:, which only the term is written to
+            sq = block.reshape(-1)[rows * j:].reshape(rows, nb - j)
+            _distance_term(A[i:i + rows, None, :], B[None, j:, :], spec, block[:, j:],
+                           tmp[:rows * (nb - j)].reshape(rows, nb - j), sq)
+            block[:, :j] = 0.0
+            if kind == "distance" and c_alpha(spec) < 0:
+                block[:, j:] += 0.0  # a coincident pair's -0 becomes the +0 of 0 + the term
+        if kind in ("nn", "pol_only"):
+            _product(MaC[i:i + rows], MbT, block, accumulate=kind == "nn")
         yield i, block
 
 

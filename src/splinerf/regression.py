@@ -6,8 +6,8 @@ hands the n x n matrix it built to that path, which factors it in the matrix's
 own memory, so a fit holds one n x n array; factor_spd is the same path on a
 copy.  Its layout is this module's alone: the triangle i <= j holds the matrix,
 the other its mirror, the diagonal the factor's, and an n-vector the matrix's.
-A fit reads K once before its first Cholesky, the mirror checking each band it
-writes for finiteness: the factored triangle only, no n x n mask.
+A fit reads K once before its first Cholesky, the mirror checking each band of
+the triangle it copies from for finiteness: that triangle only, no n x n mask.
 
 numpy and scipy each load their own OpenBLAS, and a Cholesky factor runs slower
 right after a call on numpy's pool.  So every BLAS and LAPACK call of the factor
@@ -135,14 +135,15 @@ MIRROR_TILE = 128  # rows per tile of a triangle mirror
 
 def _mirror(K: np.ndarray) -> bool:
     """Copy a square K's strict upper triangle onto its strict lower one (on K.T, the lower one
-    back) a tile of MIRROR_TILE rows at a time; True if each band is finite once written."""
+    back) a tile of MIRROR_TILE rows at a time; True if the triangle it copies from is finite,
+    checked a band K[i:j, i:] at a time, since every entry it writes is a copy of one."""
     n, finite = len(K), True
     for i in range(0, n, MIRROR_TILE):
         j = min(i + MIRROR_TILE, n)
         K[i:j, :i] = K[:i, i:j].T
         tile = K[i:j, i:j]
         np.copyto(tile, tile.T, where=np.tri(j - i, k=-1, dtype=bool))  # its strict lower triangle
-        finite = finite and bool(np.isfinite(K[i:j]).all())
+        finite = finite and bool(np.isfinite(K[i:j, i:]).all())
     return finite
 
 

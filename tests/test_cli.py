@@ -4,12 +4,17 @@ import pathlib
 import re
 import sys
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import kernel_eval_reference
-from splinerf.cli import EXPERIMENTS, GRID_POINTS, WRITE_CHUNK, _refined_grid, build_parser, main
+from splinerf.cli import (EXPERIMENTS, GRID_POINTS, READ_CHUNK, WRITE_CHUNK, _refined_grid, build_parser,
+                          main)
 from splinerf.features import FourierFeatureMap, NNFeatureMap
 from splinerf.kernels import PAIR_BLOCK, KernelSpec, kernel_pairs
 from splinerf.regression import SPDFactor
@@ -146,6 +151,51 @@ def test_kernel_eval_across_block_and_chunk_boundaries(tmp_path, monkeypatch, ca
     written = capsys.readouterr()
     assert written.err.splitlines() == want_err
     assert written.out.encode() == out.read_bytes()
+
+
+# tokens that float() and np.loadtxt read apart: float() takes 1_0 and Arabic-Indic digits,
+# which loadtxt rejects, so their chunk is parsed line by line; both reject 0x1p3, 1d3 and #
+_ODD_TOKENS = ["1_0", "\u0661\u0662", "0x1p3", "1d3", "infinity", "nan", "#"]
+_VALID_LINES = _pairs_text(np.random.default_rng(20).uniform(-0.57, 0.57, (2 * READ_CHUNK + 3, 4))).splitlines()
+
+
+@st.composite
+def _kernel_eval_stdin(draw):
+    """Lines of d = 2 pairs, some replaced or joined by blank, whitespace-only, re-spaced,
+    wrong-count and odd-token lines, often at and next to the READ_CHUNK boundaries; no
+    character that str.splitlines() and a line-by-line read of stdin split apart."""
+    n = draw(st.sampled_from([3, READ_CHUNK - 1, READ_CHUNK, READ_CHUNK + 1, len(_VALID_LINES)]))
+    lines = _VALID_LINES[:n]
+    near = [b + offset for b in (READ_CHUNK, 2 * READ_CHUNK) for offset in (-2, -1, 0, 1) if b + offset < n]
+    position = st.one_of(st.sampled_from(near), st.integers(0, n - 1)) if near else st.integers(0, n - 1)
+    space = st.sampled_from([" ", "\t", "  ", " \t "])
+    token = st.one_of(st.sampled_from(_ODD_TOKENS), st.floats(-0.5, 0.5).map(repr))
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(position)
+        if draw(st.booleans()):  # the same line with other whitespace, which loadtxt reads too
+            gaps = [draw(space) for _ in range(4)] + [draw(st.sampled_from(["", " ", "\t"]))]
+            lines[i] = "".join(g + t for g, t in zip(gaps, lines[i].split() + [""]))
+            continue
+        toks = draw(st.lists(token, max_size=5) | st.lists(token, min_size=4, max_size=4))
+        gaps = [draw(st.sampled_from(["", " ", "\t"]))] + [draw(space) for _ in toks]
+        special = "".join(g + t for g, t in zip(gaps, toks + [""]))
+        if draw(st.booleans()):
+            lines[i] = special
+        else:
+            lines.insert(i, special)
+    return "\n".join(lines) + "\n"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(_kernel_eval_stdin(), st.sampled_from([0, 3]))
+def test_kernel_eval_matches_the_one_pass_reference(text, alpha):
+    # a chunk that np.loadtxt cannot read as one row of 2d reals a line is read line by line;
+    # either way the report, exit code and bytes are those of parsing every line by float()
+    want_err, want_code, want_csv = kernel_eval_reference(text, alpha=alpha, dim=2)
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)), redirect_stdout(out), redirect_stderr(err):
+        code = main(["--experiment", "kernel-eval", "--alpha", str(alpha), "--dim", "2"])
+    assert (err.getvalue().splitlines(), code, out.getvalue()) == (want_err, want_code, want_csv)
 
 
 def test_kernel_eval_memory_is_its_arrays_and_a_block(tmp_path, monkeypatch):

@@ -519,6 +519,27 @@ def test_kernel_matrix_peak_memory_below_four_outputs():
         assert peak < bound * K.nbytes, spec
 
 
+def test_kernel_blocks_peak_memory_is_the_output_and_one_buffer():
+    # the distance term is written straight into the output's row blocks, so the one scratch
+    # buffer is _distance_term's, next to M(Xa) C, M(Xb) and the coordinate-contiguous copies
+    rng = np.random.default_rng(114)
+    Xa, Xb = rng.uniform(-0.5, 0.5, (2000, 3)), rng.uniform(-0.5, 0.5, (1000, 3))
+    spec = KernelSpec(3, 3)
+    monomials = 8 * len(monomial_exponents(3, 3)) * (len(Xa) + len(Xb))
+    kernel_matrix(Xa[:10], Xb[:10], spec)  # build the cached coefficients outside the window
+    for build, extra in ((kernel_matrix, monomials), (distance_kernel_matrix, 0)):
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            K = build(Xa, Xb, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # plus 2 ** 17 bytes for numpy's iteration buffers (8192 entries) and small objects
+        bound = K.nbytes + 8 * DISTANCE_BLOCK_ENTRIES + extra + Xa.nbytes + Xb.nbytes + 2 ** 17
+        assert peak < bound, (build.__name__, peak - K.nbytes)
+
+
 @pytest.mark.parametrize("sampler, alpha", [(sample_fourier_ensemble, 0), (sample_nn_ensemble, 0),
                                             (sample_nn_ensemble, 2)])
 def test_features_peak_memory_is_about_one_output(sampler, alpha):
@@ -579,6 +600,20 @@ def test_kernel_pairs_arccos_match_kernel_matrix(alpha, d):
     Xa, Xb = _ball_pairs(rng, 23, d, spec.R)
     want = np.diag(kernel_matrix(Xa, Xb, spec, kind="arccos"))
     assert np.array_equal(kernel_pairs(Xa, Xb, spec, "arccos"), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 12, 17])
+def test_arccos_bits_do_not_depend_on_memory_layout(d):
+    # the squared norms are summed over coordinates left to right, as x.y is; an einsum
+    # rounded them by the points' memory layout
+    rng = np.random.default_rng(310 + d)
+    Xa, Xb = rng.uniform(-0.5, 0.5, (2, 300, d)) / np.sqrt(d)
+    for alpha in (0, 1, 2):
+        spec = KernelSpec(alpha, d, 1.3)
+        for build in (kernel_matrix, kernel_pairs):
+            want = build(Xa, Xb, spec, "arccos")
+            assert np.array_equal(build(np.asfortranarray(Xa), np.asfortranarray(Xb), spec, "arccos"),
+                                  want), (alpha, build.__name__)
 
 
 _SPEC_1_2 = KernelSpec(1, 2)
@@ -766,6 +801,20 @@ def test_product_is_numpy_matmul_bit_for_bit(rows, k, order):
         assert got.shape == want.shape and np.array_equal(got, want)
         out = np.full_like(want, np.nan)  # written through, never read
         assert _product(A, b, out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("m, n, k", [(16, 20, 2000), (300, 20, 300), (16, 455, 2000), (1, 20, 3000),
+                                     (300, 20, 1), (300, 20, None), (1, 20, None), (4, 0, 3), (0, 20, 5)])
+def test_product_accumulate_adds_the_product_rounded_once(m, n, k):
+    # dgemm with beta = 1 adds out after summing an entry's products; dgemv adds it in
+    # before its last partial sums, and so does dgemm past its inner block, so those go apart
+    rng = np.random.default_rng(170 + m + n)
+    A = rng.standard_normal((m, n))
+    B = rng.standard_normal(n) if k is None else rng.standard_normal((n, k))
+    start = rng.standard_normal((m,) + B.shape[1:])
+    out = start.copy()
+    assert _product(A, B, out, accumulate=True) is out
+    assert np.array_equal(out, start + _product(A, B))
 
 
 @pytest.mark.parametrize("k", [None, 3])
