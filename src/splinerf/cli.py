@@ -2,13 +2,15 @@
 
 Every experiment is deterministic in (config, seed): cell-level streams are
 derived by hashing the seed with the cell labels, and CSV output is
-byte-identical across reruns.  Numbers are serialized with 17 significant
-digits; metadata lines are '#'-prefixed and precede the header row.
+byte-identical across reruns.  Every experiment hands its columns to one
+writer, _write_csv, which writes floats with 17 significant digits and any
+other value by str; metadata lines are '#'-prefixed and precede the header row.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from array import array
@@ -39,37 +41,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(out: str, metadata, header, text) -> None:
-    """Write the metadata lines, the header and text, an iterable of CSV row chunks."""
+def _write_csv(out: str, metadata, columns) -> None:
+    """Write the metadata lines, the header and the rows of columns, a dict from each header
+    name to a 1-D array, all of one length.  Each WRITE_CHUNK rows are formatted by one %
+    operation, a float column by %.17g and any other by %s: what _fmt writes for each cell."""
+    header, columns = ",".join(columns), [np.asarray(column) for column in columns.values()]
+    row = ",".join("%.17g" if column.dtype.kind == "f" else "%s" for column in columns) + "\n"
+    n, width = len(columns[0]), len(columns)
     with nullcontext(sys.stdout) if out == "-" else open(out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(f"# {key}={_fmt(val)}\n" for key, val in metadata) + ",".join(header) + "\n")
-        for chunk in text:
-            fh.write(chunk)
-
-
-def _rows(rows):
-    """CSV text of rows, any iterable of tuples, WRITE_CHUNK rows per chunk."""
-    rows = iter(rows)
-    while chunk := "".join(",".join(map(_fmt, row)) + "\n" for row in islice(rows, WRITE_CHUNK)):
-        yield chunk
-
-
-def _columns(index, *columns):
-    """CSV text of an integer column and float columns, equal-length 1-D arrays, WRITE_CHUNK
-    rows per chunk, each formatted by one % operation: %d and %.17g write what _fmt does."""
-    width = 1 + len(columns)
-    row = "%d" + ",%.17g" * len(columns) + "\n"
-    for i in range(0, len(index), WRITE_CHUNK):
-        rows = min(WRITE_CHUNK, len(index) - i)
-        values = [None] * (rows * width)
-        for j, column in enumerate((index,) + columns):
-            values[j::width] = column[i:i + rows].tolist()
-        yield row * rows % tuple(values)
+        fh.write("".join(f"# {key}={_fmt(val)}\n" for key, val in metadata) + header + "\n")
+        for i in range(0, n, WRITE_CHUNK):
+            rows = min(WRITE_CHUNK, n - i)
+            values = [None] * (rows * width)
+            for j, column in enumerate(columns):
+                values[j::width] = column[i:i + rows].tolist()
+            fh.write(row * rows % tuple(values))
 
 
 def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
     if args.gnuplot:
-        with open(args.out.rsplit(".", 1)[0] + ".gp", "w", encoding="utf-8", newline="\n") as fh:
+        with open(args.gnuplot, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(script)
 
 
@@ -100,25 +91,24 @@ def run_fig1(args: argparse.Namespace) -> None:
     fit_cfg = FitConfig(jitter=0.0)
     exact = fit_dual(X, y, spec, fit_cfg)
     exact_curve = predict(exact, grid)
-    rows = []
+    methods, curves = ("nn", "fourier", "exact"), []
     for draw in range(args.reps):
         nn_ens = sample_nn_ensemble(spec, args.m, RngStream(derive_seed(args.seed, "fig1-nn", draw)))
         f_ens = sample_fourier_ensemble(spec, args.m, RngStream(derive_seed(args.seed, "fig1-fourier", draw)))
-        models = {"nn": fit_primal(X, y, nn_ens, fit_cfg),
-                  "fourier": fit_primal(X, y, f_ens, fit_cfg),
-                  "exact": exact}
-        for method, model in models.items():
+        fits = (fit_primal(X, y, nn_ens, fit_cfg), fit_primal(X, y, f_ens, fit_cfg), exact)
+        for method, model in zip(methods, fits):
             # The CSV holds the curve either way; stderr says when it misses the data.
             if model.residual > FIG1_RESIDUAL_TOL:
                 print(f"fig1: draw {draw} {method} misses its training data: residual "
                       f"{model.residual:.3g}, jitter_used {model.jitter_used:g}", file=sys.stderr)
-            curve = exact_curve if method == "exact" else predict(model, grid)
-            for xv, fv in zip(grid.ravel(), curve):
-                rows.append((draw, method, xv, fv))
+            curves.append(exact_curve if method == "exact" else predict(model, grid))
     metadata = [("experiment", "fig1"), ("alpha", spec.alpha), ("radius", args.radius),
                 ("n", args.n), ("m", args.m), ("draws", args.reps), ("seed", args.seed),
                 ("base_jitter", 0.0)]
-    _write_csv(args.out, metadata, ["draw", "method", "x", "f"], _rows(rows))
+    x = grid.ravel()
+    _write_csv(args.out, metadata, {"draw": np.repeat(np.arange(args.reps), len(methods) * x.size),
+                                    "method": np.tile(np.repeat(methods, x.size), args.reps),
+                                    "x": np.tile(x, len(methods) * args.reps), "f": np.concatenate(curves)})
     _write_gnuplot(args, (
         "set datafile separator ','\n"
         f"plot '{args.out}' using 3:(strcol(2) eq \"exact\" ? $4 : 1/0) with lines title 'exact', \\\n"
@@ -135,7 +125,7 @@ def run_fig2(args: argparse.Namespace) -> None:
     # the prediction at the test points of a fit to the n unit labels.  Both feature
     # fits are applied on the test grid by grid_apply, without any test features.
     labels, fit_cfg = np.eye(n), FitConfig(jitter=INVERSION_JITTER)
-    rows = []
+    columns = {"m": [], "rep": [], "method": [], "error": []}
     for rep in range(args.reps):
         data_rng = RngStream(derive_seed(args.seed, "fig2-data", rep)).generator()
         X = data_rng.uniform(-args.radius, args.radius, size=(n, 1))
@@ -147,12 +137,13 @@ def run_fig2(args: argparse.Namespace) -> None:
                 weights = fit_primal(X, labels, ens, fit_cfg).feature_weights
                 approx = ens.grid_apply(weights, GRID_POINTS)
                 err = float(np.sum(np.square(exact - approx)))  # numpy's sum, not a threaded BLAS dot
-                rows.append((m, rep, method, err))
+                for column, value in zip(columns.values(), (m, rep, method, err)):
+                    column.append(value)
     metadata = [("experiment", "fig2"), ("alpha", spec.alpha), ("radius", args.radius),
                 ("n", n), ("reps", args.reps), ("m_grid", " ".join(str(m) for m in args.m)),
                 ("test_points", GRID_POINTS), ("seed", args.seed),
                 ("jitter", INVERSION_JITTER)]
-    _write_csv(args.out, metadata, ["m", "rep", "method", "error"], _rows(rows))
+    _write_csv(args.out, metadata, columns)
     _write_gnuplot(args, (
         "set datafile separator ','\nset logscale xy\n"
         f"plot '{args.out}' using 1:(strcol(3) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
@@ -165,13 +156,13 @@ def run_fig3(args: argparse.Namespace) -> None:
     estimator = GridLeverageEstimator(np.linspace(-1.0, 1.0, args.n), lam)
     profiles = [nn_profile(lam, estimator=estimator)]
     profiles.extend(fourier_profiles(lam, estimator=estimator))
-    rows = []
-    for prof in profiles:
-        for param, emp, theo in zip(prof.params, prof.empirical, prof.analytic):
-            rows.append((prof.method, param, emp, theo))
     metadata = [("experiment", "fig3"), ("lambda", lam), ("n", args.n),
                 ("params_per_method", profiles[0].params.size), ("seed", args.seed)]
-    _write_csv(args.out, metadata, ["method", "param", "empirical", "theoretical"], _rows(rows))
+    _write_csv(args.out, metadata, {
+        "method": np.repeat([prof.method for prof in profiles], [prof.params.size for prof in profiles]),
+        "param": np.concatenate([prof.params for prof in profiles]),
+        "empirical": np.concatenate([prof.empirical for prof in profiles]),
+        "theoretical": np.concatenate([prof.analytic for prof in profiles])})
     _write_gnuplot(args, (
         "set datafile separator ','\n"
         f"plot '{args.out}' using 2:(strcol(1) eq \"nn\" ? $3 : 1/0) title 'nn empirical', \\\n"
@@ -229,13 +220,13 @@ def run_kernel_eval(args: argparse.Namespace) -> int:
         print(f"line {lineno}: {message}", file=sys.stderr)
     n_bad = len(errors)
     try:
-        text = _columns(lines, kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel))
+        values = kernel_pairs(P[:, :d], P[:, d:], spec, args.kernel)
     except ValueError as exc:
         print(f"kernel-eval: {exc}", file=sys.stderr)
-        text, n_bad = (), n_bad + 1
+        lines, values, n_bad = lines[:0], np.empty(0), n_bad + 1
     metadata = [("experiment", "kernel-eval"), ("alpha", args.alpha), ("dim", d),
                 ("radius", args.radius), ("kernel", args.kernel)]
-    _write_csv(args.out, metadata, ["line", "value"], text)
+    _write_csv(args.out, metadata, {"line": lines, "value": values})
     return 1 if n_bad else 0
 
 
@@ -246,15 +237,15 @@ def run_feature_sample(args: argparse.Namespace) -> None:
     stream = RngStream(derive_seed(args.seed, "feature-sample", args.kind))
     if args.kind == "nn":
         ens = sample_nn_ensemble(spec, m, stream)
-        header = ["index", "bias"] + [f"w{i+1}" for i in range(d)]
-        values, vectors = ens.biases, ens.directions
+        columns = {"index": np.arange(m), "bias": ens.biases}
+        columns.update((f"w{i+1}", w) for i, w in enumerate(ens.directions.T))
     else:
         ens = sample_fourier_ensemble(spec, m, stream)
-        header = ["index", "tau"] + [f"omega{i+1}" for i in range(d)]
-        values, vectors = ens.taus, ens.omegas  # omegas is formed anew at each access
+        columns = {"index": np.arange(m), "tau": ens.taus}
+        columns.update((f"omega{i+1}", w) for i, w in enumerate(ens.omegas.T))  # formed anew at each access
     metadata = [("experiment", "feature-sample"), ("kind", args.kind), ("dim", d),
                 ("radius", args.radius), ("m", m), ("seed", args.seed)]
-    _write_csv(args.out, metadata, header, _columns(np.arange(m), values, *vectors.T))
+    _write_csv(args.out, metadata, columns)
 
 
 # experiment: (runner, default --out, {flag it reads: its default here, None for the parser's}).
@@ -321,8 +312,11 @@ def main(argv=None) -> int:
         if getattr(args, flag) is None:
             setattr(args, flag, default)
     args.out = out if args.out is None else args.out
-    if args.gnuplot and args.out == "-":
-        parser.error("--gnuplot writes its script next to the CSV, so it needs --out FILE")
+    if args.gnuplot:
+        args.gnuplot = os.path.splitext(args.out)[0] + ".gp"  # the script's path
+        if args.out in ("-", args.gnuplot):
+            parser.error(f"--gnuplot writes its script next to the CSV, so it needs an --out FILE "
+                         f"that does not end in .gp, got {args.out}")
     try:
         return run(args) or 0
     except OSError as exc:

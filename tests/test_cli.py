@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import kernel_eval_reference
-from splinerf.cli import (EXPERIMENTS, GRID_POINTS, READ_CHUNK, WRITE_CHUNK, _refined_grid, build_parser,
-                          main)
+from splinerf.cli import (EXPERIMENTS, GRID_POINTS, READ_CHUNK, WRITE_CHUNK, _fmt, _refined_grid, _write_csv,
+                          build_parser, main)
 from splinerf.features import FourierFeatureMap, NNFeatureMap
 from splinerf.kernels import PAIR_BLOCK, KernelSpec, kernel_pairs
 from splinerf.regression import SPDFactor
@@ -482,9 +482,11 @@ def test_read_flags_accepted(tmp_path, monkeypatch, experiment, flag):
     (["--experiment", "fig1", "--n", "-1"], "--n must be >= 1, got -1"),
     (["--experiment", "fig3", "--n", "0"], "--n must be >= 1, got 0"),
     (["--experiment", "fig3", "--n", "64", "--gnuplot", "--out", "-"], "--gnuplot writes"),
+    # the script would overwrite the CSV it plots
+    (["--experiment", "fig3", "--n", "64", "--gnuplot", "--out", "fig3.gp"], "--gnuplot writes"),
 ], ids=["fig1-repeated-m", "feature-sample-repeated-m", "reps-0", "fig1-m-0", "fig2-m-grid-0",
         "feature-sample-m-0", "fig1-n-0", "fig2-n-0", "fig1-n--1", "fig3-n-0",
-        "gnuplot-to-stdout"])
+        "gnuplot-to-stdout", "gnuplot-out-is-the-script"])
 def test_usage_errors(tmp_path, monkeypatch, capsys, argv, message):
     monkeypatch.chdir(tmp_path)  # where the default --out would land
     with pytest.raises(SystemExit) as exc:
@@ -604,6 +606,33 @@ def test_gnuplot_companion(tmp_path):
     script = tmp_path / "fig3.gp"
     assert script.exists()
     assert "set datafile separator" in script.read_text()
+
+
+def test_gnuplot_companion_in_a_dotted_directory(tmp_path):
+    # the script goes next to the CSV, even when only a directory name has a dot
+    (tmp_path / "run.d").mkdir()
+    out = tmp_path / "run.d" / "fig3"
+    assert main(["--experiment", "fig3", "--n", "64", "--gnuplot", "--out", str(out)]) == 0
+    assert sorted(p.name for p in (tmp_path / "run.d").iterdir()) == ["fig3", "fig3.gp"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
+
+
+# A float column cycles through the values whose text is easiest to get wrong.
+AWKWARD_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+@pytest.mark.parametrize("to_stdout", [False, True])
+@pytest.mark.parametrize("rows", [0, 1, WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1])
+def test_write_csv_writes_each_cell_as_fmt_does(tmp_path, capsys, rows, to_stdout):
+    columns = {"i": np.arange(rows, dtype=np.int64) - 1,
+               "x": np.resize(np.array(AWKWARD_FLOATS), rows),
+               "label": np.resize(np.array(["nn", "fourier", "exact"]), rows)}
+    out = "-" if to_stdout else str(tmp_path / "out.csv")
+    _write_csv(out, [("a", 1), ("b", 0.1)], columns)
+    text = capsys.readouterr().out if to_stdout else pathlib.Path(out).read_text(encoding="utf-8")
+    assert text.endswith("\n")
+    assert text.split("\n")[:-1] == ["# a=1", "# b=0.10000000000000001", "i,x,label"] + [
+        ",".join(map(_fmt, row)) for row in zip(*columns.values())]
 
 
 def test_unwritable_output_path():

@@ -4,7 +4,8 @@ The references were written by the CLI with the flags in CASES and THREAD_CASES,
 stdin the input file that STDIN names, if any; kernel-eval's is the one alpha >= 1 case. Metadata
 lines, headers and label columns must match exactly. Numeric columns must
 match to rtol 1e-12: any change to the numerics shows far above that, while
-another numpy or BLAS build may round the last bits differently.
+another numpy or BLAS build may round the last bits differently. Each numeric cell
+must also be its own 17-significant-digit text, so the text form is pinned too.
 feature-sample calls no BLAS and must match byte for byte. Every experiment
 writes the same bytes at one and at two OpenBLAS threads, each run in a fresh
 interpreter, and its one-thread output is checked against the same reference.
@@ -57,6 +58,7 @@ def _assert_matches_reference(path, name):
     for title, col, ref in zip(header.split(","), columns, ref_columns):
         assert len(col) == len(ref), title
         if all(_is_number(cell) for cell in ref):
+            assert [format(float(cell), ".17g") for cell in col] == list(col), title
             np.testing.assert_allclose(np.array(col, dtype=float), np.array(ref, dtype=float),
                                        rtol=1e-12, atol=0, err_msg=title)
         else:
