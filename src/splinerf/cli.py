@@ -59,9 +59,12 @@ def _write_csv(out: str, metadata, columns) -> None:
 
 
 def _write_gnuplot(args: argparse.Namespace, script: str) -> None:
+    """Write script with each {csv} replaced by the CSV's absolute path as a gnuplot
+    single-quoted string, each ' in it doubled, so it names the CSV from any directory."""
     if args.gnuplot:
+        csv = "'" + os.path.abspath(args.out).replace("'", "''") + "'"
         with open(args.gnuplot, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(script)
+            fh.write(script.format(csv=csv))
 
 
 def _refined_grid(R: float, train: np.ndarray) -> np.ndarray:
@@ -111,9 +114,9 @@ def run_fig1(args: argparse.Namespace) -> None:
                                     "x": np.tile(x, len(methods) * args.reps), "f": np.concatenate(curves)})
     _write_gnuplot(args, (
         "set datafile separator ','\n"
-        f"plot '{args.out}' using 3:(strcol(2) eq \"exact\" ? $4 : 1/0) with lines title 'exact', \\\n"
-        f"     '{args.out}' using 3:(strcol(2) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
-        f"     '{args.out}' using 3:(strcol(2) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
+        "plot {csv} using 3:(strcol(2) eq \"exact\" ? $4 : 1/0) with lines title 'exact', \\\n"
+        "     {csv} using 3:(strcol(2) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
+        "     {csv} using 3:(strcol(2) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
 
 
 def run_fig2(args: argparse.Namespace) -> None:
@@ -146,8 +149,8 @@ def run_fig2(args: argparse.Namespace) -> None:
     _write_csv(args.out, metadata, columns)
     _write_gnuplot(args, (
         "set datafile separator ','\nset logscale xy\n"
-        f"plot '{args.out}' using 1:(strcol(3) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
-        f"     '{args.out}' using 1:(strcol(3) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
+        "plot {csv} using 1:(strcol(3) eq \"nn\" ? $4 : 1/0) title 'nn', \\\n"
+        "     {csv} using 1:(strcol(3) eq \"fourier\" ? $4 : 1/0) title 'fourier'\n"))
 
 
 def run_fig3(args: argparse.Namespace) -> None:
@@ -165,8 +168,8 @@ def run_fig3(args: argparse.Namespace) -> None:
         "theoretical": np.concatenate([prof.analytic for prof in profiles])})
     _write_gnuplot(args, (
         "set datafile separator ','\n"
-        f"plot '{args.out}' using 2:(strcol(1) eq \"nn\" ? $3 : 1/0) title 'nn empirical', \\\n"
-        f"     '{args.out}' using 2:(strcol(1) eq \"nn\" ? $4 : 1/0) with lines title 'nn theory'\n"))
+        "plot {csv} using 2:(strcol(1) eq \"nn\" ? $3 : 1/0) title 'nn empirical', \\\n"
+        "     {csv} using 2:(strcol(1) eq \"nn\" ? $4 : 1/0) with lines title 'nn theory'\n"))
 
 
 def run_kernel_eval(args: argparse.Namespace) -> int:

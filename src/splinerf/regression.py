@@ -5,9 +5,10 @@ its kernel projected onto the null space of the polynomial constraint.  Each fit
 hands the n x n matrix it built to that path, which factors it in the matrix's
 own memory, so a fit holds one n x n array; factor_spd is the same path on a
 copy.  Its layout is this module's alone: the triangle i <= j holds the matrix,
-the other its mirror, the diagonal the factor's, and an n-vector the matrix's.
-A fit reads K once before its first Cholesky, the mirror checking each band of
-the triangle it copies from for finiteness: that triangle only, no n x n mask.
+the other its mirror and the diagonal the factor's.  A fit reads K once before
+its first Cholesky, the mirror checking each band of the triangle it copies from
+for finiteness: that triangle only, no n x n mask.  A model keeps copies of its
+training points and targets, and its residual is formed from them when read.
 
 numpy and scipy each load their own OpenBLAS, and a Cholesky factor runs slower
 right after a call on numpy's pool.  So every BLAS and LAPACK call of the factor
@@ -84,21 +85,27 @@ class RegressionModel:
     kind "constrained_spline": f(x) = sum_i dual_coeffs[i] E(x - x_i)
                                + monomials(x) . poly_coeffs
 
-    A fit to an (n, k) label matrix holds k coefficient columns, and predict
-    returns one column per label.  jitter_used is the configured jitter plus
-    factor_spd's JITTER_LADDER escalation; residual is max |f(x_i) - y_i| over
-    the training points, on the kernel without any shift.
+    X and y are the fit's own copies of its training points and targets.  A fit
+    to an (n, k) label matrix holds k coefficient columns, and predict returns
+    one column per label.  jitter_used is the configured jitter plus factor_spd's
+    JITTER_LADDER escalation.
     """
 
     kind: str
     X: np.ndarray
+    y: np.ndarray
     spec: KernelSpec | None = None
     ensemble: NNFeatureMap | FourierFeatureMap | None = None
     dual_coeffs: np.ndarray | None = None
     poly_coeffs: np.ndarray = field(default_factory=lambda: np.empty(0))
     feature_weights: np.ndarray | None = None
     jitter_used: float = 0.0
-    residual: float = 0.0
+
+    @property
+    def residual(self) -> float:
+        """max |predict(self, X) - y| over the training data, 0 for none: the misfit on
+        the kernel without any shift, formed anew at each read."""
+        return float(np.max(np.abs(predict(self, self.X) - self.y), initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -107,27 +114,16 @@ class SPDFactor:
     matrix with A[i, j] = A[j, i] = K[i, j] for i <= j, held in K's own memory.
 
     factor[0] is the Fortran view K^T: its lower triangle holds the Cholesky
-    factor, its strict upper triangle A's off-diagonal entries (the mirror), and
-    diag holds A's unshifted diagonal.  escalation is the JITTER_LADDER rung the
-    factorization needed (0 if none).
+    factor and its strict upper triangle A's off-diagonal entries (the mirror).
+    escalation is the JITTER_LADDER rung the factorization needed (0 if none).
     """
 
     factor: tuple
     escalation: float
-    diag: np.ndarray
 
     def solve(self, B) -> np.ndarray:
         """(A + (shift + escalation) I)^{-1} B for a vector or an (n, k) matrix B."""
         return sla.cho_solve(self.factor, B, check_finite=False)
-
-    def product(self, B) -> np.ndarray:
-        """A B, without any shift, for a vector or an (n, k) matrix B: the mirror times B,
-        which reads the factor's diagonal, plus (A's diagonal - the factor's) times B.
-        It writes nothing, so solves alongside it are unchanged."""
-        K, B = self.factor[0].T, np.asarray(B, dtype=float)
-        AB = _symmetric_product(K, B, upper=False)
-        AB += ((self.diag - _diagonal(K)) * B.T).T
-        return AB
 
 
 MIRROR_TILE = 128  # rows per tile of a triangle mirror
@@ -165,8 +161,7 @@ def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
     for extra in (0.0,) + JITTER_LADDER:
         np.add(diag, shift + extra, out=_diagonal(K))
         try:
-            return SPDFactor(sla.cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False),
-                             extra, diag)
+            return SPDFactor(sla.cho_factor(K.T, lower=True, overwrite_a=True, check_finite=False), extra)
         except sla.LinAlgError:
             _mirror(K.T)  # the failed factor wrote over the triangle i <= j
     top = shift + JITTER_LADDER[-1]
@@ -190,19 +185,11 @@ def factor_spd(K, shift: float = 0.0) -> SPDFactor:
     return _factor_in_place(np.array(K, dtype=float, order="C"), shift)
 
 
-def _symmetric_product(K: np.ndarray, B: np.ndarray, upper: bool = True) -> np.ndarray:
-    """A B by BLAS dsymm, for a vector or an (n, k) matrix B and the symmetric A
-    with A[i, j] = K[i, j] on i <= j (upper, the triangle factor_spd reads) or
-    on i >= j, of a C-ordered K."""
-    if not len(B):
-        return np.zeros(B.shape)  # BLAS's argument check rejects n = 0
-    return sla.blas.dsymm(1.0, K.T, B.reshape(len(B), -1), lower=upper).reshape(B.shape)
-
-
 def _training_data(X, y, d: int):
-    """Points by _as_points, and targets as a finite float (n,) vector or (n, k) label matrix."""
-    X = _as_points(X, d)
-    y, n = np.asarray(y, dtype=float), len(X)
+    """Copies of the points, checked by _as_points, and of the targets as a finite float
+    (n,) vector or (n, k) label matrix, so that no later write by the caller reaches a model."""
+    X = _as_points(np.array(X, dtype=float), d)
+    y, n = np.array(y, dtype=float), len(X)
     if y.ndim not in (1, 2) or y.shape[0] != n:
         raise ValueError(f"targets must have shape ({n},) or ({n}, k), got {y.shape}")
     if not np.isfinite(y).all():
@@ -222,10 +209,8 @@ def fit_dual(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig()) -> Regression
     X, y = _training_data(X, y, spec.d)
     n = X.shape[0]
     factor = _factor_in_place(_gram(X, spec, "nn"), _shift(cfg, n))
-    coeffs = factor.solve(y)
-    residual = float(np.max(np.abs(factor.product(coeffs) - y), initial=0.0))
-    return RegressionModel(kind="dual", X=X, spec=spec, dual_coeffs=coeffs,
-                           jitter_used=cfg.jitter + factor.escalation, residual=residual)
+    return RegressionModel(kind="dual", X=X, y=y, spec=spec, dual_coeffs=factor.solve(y),
+                           jitter_used=cfg.jitter + factor.escalation)
 
 
 def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig = FitConfig()) -> RegressionModel:
@@ -240,9 +225,8 @@ def fit_primal(X, y, ensemble: NNFeatureMap | FourierFeatureMap, cfg: FitConfig 
     F = ensemble.features(X)
     factor = _factor_in_place(ensemble.scaling * (F @ F.T), _shift(cfg, n))
     eta = ensemble.scaling * (F.T @ factor.solve(y))
-    residual = float(np.max(np.abs(F @ eta - y), initial=0.0))
-    return RegressionModel(kind="primal", X=X, ensemble=ensemble, feature_weights=eta,
-                           jitter_used=cfg.jitter + factor.escalation, residual=residual)
+    return RegressionModel(kind="primal", X=X, y=y, ensemble=ensemble, feature_weights=eta,
+                           jitter_used=cfg.jitter + factor.escalation)
 
 
 def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mode="constrained_spline")) -> RegressionModel:
@@ -279,21 +263,17 @@ def fit_constrained_spline(X, y, spec: KernelSpec, cfg: FitConfig = FitConfig(mo
     # G = K Q1 - Q1 (Q1^T K Q1 + c I) / 2 is one rank-2r dsyr2k update of its triangle
     # i <= j, the lower triangle of its Fortran view K.T, over K's own memory
     K = _gram(X, spec, "distance")
-    KQ = _symmetric_product(K, Q)
+    KQ = sla.blas.dsymm(1.0, K.T, Q, lower=True)
     S = _product(Q.T, KQ) + (max(K.max(), -K.min()) or 1.0) * np.eye(n_poly)
     G = KQ - 0.5 * _product(Q, S)
     sla.blas.dsyr2k(-1.0, Q, G, beta=1.0, c=K.T, lower=True, overwrite_c=True)
     factor = _factor_in_place(K, shift)
-    del K
     lam = factor.solve(resid)
     lam -= _product(Q, _product(Q.T, lam))
     # Phi^T lambda = 0, so the shift term of the first block row drops out of Q1^T
     nu += sla.solve_triangular(R, resid_q - _product(KQ.T, lam))
-    model = RegressionModel(kind="constrained_spline", X=X, spec=spec, dual_coeffs=lam,
-                            poly_coeffs=nu, jitter_used=cfg.jitter + factor.escalation)
-    del factor  # the training misfit against K itself, streamed, without M or its factor alive
-    model.residual = float(np.max(np.abs(predict(model, X) - y), initial=0.0))
-    return model
+    return RegressionModel(kind="constrained_spline", X=X, y=y, spec=spec, dual_coeffs=lam,
+                           poly_coeffs=nu, jitter_used=cfg.jitter + factor.escalation)
 
 
 def predict(model: RegressionModel, Xtest) -> np.ndarray:

@@ -617,6 +617,24 @@ def test_gnuplot_companion_in_a_dotted_directory(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["run.d"]
 
 
+@pytest.mark.parametrize("argv, plots", [
+    (["--experiment", "fig1", "--n", "5", "--m", "8", "--reps", "1"], 3),
+    (["--experiment", "fig2", "--n", "5", "--m", "8", "--reps", "1"], 2),
+    (["--experiment", "fig3", "--n", "64"], 2)], ids=["fig1", "fig2", "fig3"])
+def test_gnuplot_script_names_the_csv_by_its_absolute_path(tmp_path, monkeypatch, argv, plots):
+    # the script named the CSV by --out as given, inside unescaped single quotes: an
+    # apostrophe ended the string, and a relative name was read from gnuplot's directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub.d").mkdir()
+    assert main(argv + ["--gnuplot", "--out", "sub.d/it's"]) == 0
+    script = (tmp_path / "sub.d" / "it's.gp").read_text()
+    # a gnuplot single-quoted string holds a ' as ''
+    names = [m.replace("''", "'") for m in re.findall(r"'((?:[^']|'')*)' using", script)]
+    assert len(names) == plots
+    for name in names:
+        assert pathlib.Path(name).is_absolute() and pathlib.Path(name).samefile(tmp_path / "sub.d" / "it's")
+
+
 # A float column cycles through the values whose text is easiest to get wrong.
 AWKWARD_FLOATS = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1]
 

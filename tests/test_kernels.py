@@ -869,7 +869,7 @@ def test_kernel_paths_make_no_numpy_blas_call():
     functions = dict(_kernel_space_functions())
     for name in ("kernel_pairs", "kernel_matrix", "_kernel_rows"):
         assert f"splinerf.kernels.{name}" in functions
-    for name in ("_factor_in_place", "fit_dual", "fit_constrained_spline", "predict", "product"):
+    for name in ("_factor_in_place", "fit_dual", "fit_constrained_spline", "predict"):
         assert f"splinerf.regression.{name}" in functions
     found = {name: lines for name, node in functions.items() if (lines := _numpy_blas_lines(node))}
     assert found == {}

@@ -7,9 +7,10 @@ import pytest
 import scipy.linalg as sla
 
 from oracles import saddle_solve
+import splinerf.regression
 from splinerf.features import approx_kernel, sample_fourier_ensemble, sample_nn_ensemble
-from splinerf.kernels import (DISTANCE_BLOCK_ENTRIES, KernelSpec, distance_kernel_matrix, kernel_matrix,
-                              monomial_exponents, monomial_matrix)
+from splinerf.kernels import (DISTANCE_BLOCK_ENTRIES, KernelSpec, _kernel_rows, distance_kernel_matrix,
+                              kernel_matrix, monomial_exponents, monomial_matrix)
 from splinerf.regression import (
     JITTER_LADDER,
     DegenerateDesignError,
@@ -151,6 +152,50 @@ def test_fits_take_an_empty_label_matrix(name):
     for attr in COEFFICIENTS[name]:
         assert getattr(model, attr).shape[1:] == (0,)
     assert predict(model, X[:5]).shape == (5, 0)
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+@pytest.mark.parametrize("labels", [(), (3,), (0,)])
+def test_residual_is_the_training_misfit_of_predict(name, labels):
+    X, fits = _label_matrix_fits()
+    y = np.random.default_rng(15).standard_normal(X.shape[:1] + labels)
+    model = fits[name](y)
+    assert model.residual == float(np.max(np.abs(predict(model, X) - y), initial=0.0))
+
+
+@pytest.mark.parametrize("name", sorted(COEFFICIENTS))
+def test_fits_own_their_training_data(name):
+    # a fit kept the caller's float64 points as model.X, so a later write to them
+    # moved predict's output
+    X, fits = _label_matrix_fits()
+    y = np.random.default_rng(16).standard_normal(X.shape[0])
+    Xt = np.random.default_rng(17).uniform(-0.7, 0.7, (30, 2))
+    model = fits[name](y)
+    want = predict(model, Xt), model.residual
+    X += 0.25
+    y[:] = 7.0
+    assert np.array_equal(predict(model, Xt), want[0])
+    assert model.residual == want[1]
+    assert not np.shares_memory(model.X, X) and not np.shares_memory(model.y, y)
+
+
+@pytest.mark.parametrize("name", ["fit_dual", "fit_constrained_spline"])
+def test_kernel_fits_stream_kernel_rows_only_when_residual_is_read(name, monkeypatch):
+    # fit_constrained_spline streamed the distance kernel a second time, through predict,
+    # for a residual formed during the fit
+    X, fits = _label_matrix_fits()
+    y = np.random.default_rng(18).standard_normal(X.shape[0])
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return _kernel_rows(*args, **kwargs)
+
+    monkeypatch.setattr(splinerf.regression, "_kernel_rows", counted)
+    model = fits[name](y)
+    assert calls == []
+    model.residual
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", sorted(COEFFICIENTS))
@@ -565,7 +610,7 @@ def test_factor_spd_matches_inline_cholesky():
 
 def test_factor_spd_ignores_the_strict_lower_triangle():
     # like potrf, factor_spd neither reads nor checks K[i, j] for i > j: a NaN or inf there
-    # is no error, and the factor, solves and products are those of the clean matrix
+    # is no error, and the factor and solves are those of the clean matrix
     rng = np.random.default_rng(12)
     K = _alpha3_gram(rng)
     below = np.tril_indices_from(K, -1)
@@ -579,7 +624,6 @@ def test_factor_spd_ignores_the_strict_lower_triangle():
         assert first.factor[1] and second.factor[1]  # lower: cho_factor wrote the lower triangle
         assert np.array_equal(np.tril(first.factor[0]), np.tril(second.factor[0]))
         assert np.array_equal(first.solve(B), second.solve(B))
-        assert np.array_equal(first.product(B), second.product(B))
 
 
 def test_factor_spd_of_a_symmetric_matrix_matches_its_symmetric_part():
@@ -642,37 +686,6 @@ def test_factor_spd_condition_estimate_reads_the_restored_matrix():
     message = f"condition estimate {ev.max() / ev.min():.3e}"
     with pytest.raises(IllConditionedError, match=re.escape(message)):
         factor_spd(K, 1e-3)
-
-
-@pytest.mark.parametrize("k", [None, 3])
-def test_spd_factor_product_is_the_unshifted_matrix_product(k):
-    rng = np.random.default_rng(93)
-    K = _alpha3_gram(rng)
-    B = rng.standard_normal(60) if k is None else rng.standard_normal((60, k))
-    factor = factor_spd(K, 1e-3)
-    before = factor.solve(B)
-    got = factor.product(B)
-    assert got.shape == B.shape
-    A = _mirrored(K)
-    bound = 60 * np.finfo(float).eps * (np.abs(A) @ np.abs(B))
-    assert np.all(np.abs(got - A @ B) <= bound)
-    assert np.array_equal(factor.solve(B), before)
-    assert np.array_equal(factor.product(B), got)
-
-
-def test_spd_factor_product_writes_nothing():
-    # the product reads the factor's diagonal and corrects it by the kept one, so it works
-    # on a read-only factor and leaves every array of the factor as it was
-    rng = np.random.default_rng(94)
-    B = rng.standard_normal((60, 3))
-    factor = factor_spd(_alpha3_gram(rng), 1e-3)
-    want = [factor.product(B), factor.product(B[:, 0])]
-    held = (factor.factor[0].copy(), factor.diag.copy())
-    factor.factor[0].setflags(write=False)
-    factor.diag.setflags(write=False)
-    assert np.array_equal(factor.product(B), want[0])
-    assert np.array_equal(factor.product(B[:, 0]), want[1])
-    assert np.array_equal(factor.factor[0], held[0]) and np.array_equal(factor.diag, held[1])
 
 
 def test_factor_spd_rejects_bad_matrices():
