@@ -324,9 +324,9 @@ def _assembled(Xa, Xb, spec: KernelSpec, kind: str, upper: bool = False) -> np.n
 
 def _gram(X, spec: KernelSpec, kind: str) -> np.ndarray:
     """Gram matrix of validated points X, kind "nn" or "distance": bit-equal to kernel_matrix(X, X)
-    or distance_kernel_matrix(X, X) on i <= j, the triangle factor_spd reads.  The row block from
-    row i gets its distance term from column i on only, at half the cost, so an entry below the
-    diagonal is a kernel value or the polynomial part alone (0 for "distance")."""
+    or distance_kernel_matrix(X, X) on i <= j, the triangle the fits' factor reads.  The row
+    block from row i gets its distance term from column i on only, at half the cost, so an entry
+    below the diagonal is a kernel value or the polynomial part alone (0 for "distance")."""
     return _assembled(X, X, spec, kind, upper=True)
 
 

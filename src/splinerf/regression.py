@@ -1,14 +1,15 @@
 """Interpolation, ridge regression and the constrained polyharmonic spline solve.
 
-Every dense solve goes through one factor path: the constrained spline too, on
-its kernel projected onto the null space of the polynomial constraint.  Each fit
-hands the n x n matrix it built to that path, which factors it in the matrix's
-own memory, so a fit holds one n x n array; factor_spd is the same path on a
-copy.  Its layout is this module's alone: the triangle i <= j holds the matrix,
-the other its mirror and the diagonal the factor's.  A fit reads K once before
-its first Cholesky, the mirror checking each band of the triangle it copies from
-for finiteness: that triangle only, no n x n mask.  A model keeps copies of its
-training points and targets, and its residual is formed from them when read.
+Every dense solve goes through one factor path, _factor_in_place, and the three
+fits are its only callers: the constrained spline too, on its kernel projected
+onto the null space of the polynomial constraint.  Each fit hands the n x n
+matrix it built to that path, which factors it in the matrix's own memory, so a
+fit holds one n x n array.  Its layout is this module's alone: the triangle
+i <= j holds the matrix, the other its mirror and the diagonal the factor's.  A
+fit reads K once before its first Cholesky, the mirror checking each band of the
+triangle it copies from for finiteness: that triangle only, no n x n mask.  A
+model keeps copies of its training points and targets, and its residual is
+formed from them when read.
 
 numpy and scipy each load their own OpenBLAS, and a Cholesky factor runs slower
 right after a call on numpy's pool.  So every BLAS and LAPACK call of the factor
@@ -33,8 +34,6 @@ from .kernels import (KernelSpec, _as_points, _gram, _kernel_rows, _product, mon
 __all__ = [
     "IllConditionedError",
     "DegenerateDesignError",
-    "SPDFactor",
-    "factor_spd",
     "FitConfig",
     "RegressionModel",
     "fit_dual",
@@ -87,8 +86,8 @@ class RegressionModel:
 
     X and y are the fit's own copies of its training points and targets.  A fit
     to an (n, k) label matrix holds k coefficient columns, and predict returns
-    one column per label.  jitter_used is the configured jitter plus factor_spd's
-    JITTER_LADDER escalation.
+    one column per label.  jitter_used is the configured jitter plus the JITTER_LADDER
+    rung the fit's factor needed.
     """
 
     kind: str
@@ -149,10 +148,15 @@ def _diagonal(K: np.ndarray) -> np.ndarray:
 
 
 def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
-    """factor_spd over a C-ordered float K that the caller hands over: the factor
-    overwrites it, and its strict lower triangle becomes the mirror."""
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {K.shape}")
+    """Factor a fit's C-ordered square float K plus shift on the diagonal, in K's own memory.
+
+    Like LAPACK potrf, it reads one triangle of K, the entries K[i, j] with
+    i <= j, and never the other.  Before the first try it mirrors that triangle
+    onto the other one; when Cholesky fails it restores the triangle from the
+    mirror and raises the diagonal by the next JITTER_LADDER rung.  A non-finite
+    entry of the triangle, or a non-finite shift, raises ValueError, and a failure
+    past the last rung IllConditionedError.
+    """
     if not np.isfinite(shift):
         raise ValueError(f"diagonal shift must be finite, got {shift}")
     if not _mirror(K):
@@ -171,18 +175,6 @@ def _factor_in_place(K: np.ndarray, shift: float) -> SPDFactor:
         cond = ev.max() / ev.min()
     raise IllConditionedError(
         f"system singular after jitter escalation to {top:g} (condition estimate {cond:.3e})")
-
-
-def factor_spd(K, shift: float = 0.0) -> SPDFactor:
-    """Factor K plus shift on the diagonal, once, for many solves.
-
-    Like LAPACK potrf, it reads one triangle of K, the entries K[i, j] with
-    i <= j, and never the other.  It factors one copy of K, so K is left
-    unmodified; before the first try it mirrors that triangle onto the copy's
-    other one, and when Cholesky fails it restores the triangle from the mirror
-    and raises the diagonal by the next JITTER_LADDER rung.
-    """
-    return _factor_in_place(np.array(K, dtype=float, order="C"), shift)
 
 
 def _training_data(X, y, d: int):

@@ -23,7 +23,6 @@ from scipy.special import gammaln
 
 from splinerf.kernels import (KernelSpec, _pol_coefficients, _product, c_alpha, distance_kernel_matrix,
                               kernel_matrix, monomial_exponents, monomial_matrix)
-from splinerf.regression import factor_spd
 
 _GL_LOW = np.polynomial.legendre.leggauss(10)
 _GL_HIGH = np.polynomial.legendre.leggauss(20)
@@ -350,13 +349,14 @@ def dense_grid_leverage(grid, lam, Phi):
     """phi^T (K + n lam I)^{-1} phi for each column of Phi, from the dense Gram.
 
     The dense path the structured grid estimator is checked against: the
-    alpha = 0, d = 1 Gram from kernel_matrix, factored by factor_spd, each
-    column solved on its own.
+    alpha = 0, d = 1 Gram from kernel_matrix, its triangle i <= j mirrored and
+    factored by scipy's Cholesky, each column solved on its own.
     """
     grid = np.asarray(grid, dtype=float)
     K = kernel_matrix(grid[:, None], grid[:, None], KernelSpec(0, 1, 1.0))
-    factor = factor_spd(K, grid.size * lam)
-    return np.array([phi @ factor.solve(phi) for phi in np.asarray(Phi, dtype=float).T])
+    A = np.triu(K) + np.triu(K, 1).T + grid.size * lam * np.eye(grid.size)
+    factor = sla.cho_factor(A, lower=True)
+    return np.array([phi @ sla.cho_solve(factor, phi) for phi in np.asarray(Phi, dtype=float).T])
 
 
 def nn_features_reference(X, directions, biases, alpha):

@@ -16,7 +16,6 @@ from splinerf.regression import (
     DegenerateDesignError,
     FitConfig,
     IllConditionedError,
-    factor_spd,
     fit_constrained_spline,
     fit_dual,
     fit_primal,
@@ -435,7 +434,7 @@ def test_fit_dual_solves_the_kernel_matrix_bit_for_bit(d, alpha):
     X = rng.uniform(-0.7, 0.7, (n, d))
     for y, mu in [(rng.standard_normal(n), 1e-3), (rng.standard_normal((n, 2)), 1e-2)]:
         model = fit_dual(X, y, spec, FitConfig(mode="ridge", mu=mu))
-        want = factor_spd(kernel_matrix(X, X, spec), n * mu).solve(y)
+        want = _inline_cholesky_solve(kernel_matrix(X, X, spec), n * mu, y)
         assert np.array_equal(model.dual_coeffs, want)
 
 
@@ -523,7 +522,7 @@ def test_dual_and_spline_predict_at_non_finite_point_rejected(bad):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_fits_at_non_finite_point_rejected(bad):
-    # match the message: factor_spd's non-finite matrix and numpy's failed SVD are ValueErrors too
+    # match the message: the factor's non-finite matrix and numpy's failed SVD are ValueErrors too
     X = np.linspace(-0.5, 0.5, 6)[:, None]
     X[2, 0] = bad
     for fit in (fit_dual, fit_constrained_spline):
@@ -571,8 +570,13 @@ def test_dual_and_primal_reject_constrained_spline_config():
 
 
 def _mirrored(K):
-    # the symmetric matrix factor_spd factors: K[i, j] for i <= j, mirrored below the diagonal
+    # the symmetric matrix the fits factor: K[i, j] for i <= j, mirrored below the diagonal
     return np.triu(K) + np.triu(K, 1).T
+
+
+def _factor(K, shift=0.0):
+    # the fits' factor path, on a C-ordered copy of K
+    return splinerf.regression._factor_in_place(np.array(K, dtype=float, order="C"), shift)
 
 
 def _inline_cholesky_solve(K, shift, B):
@@ -601,26 +605,24 @@ def test_factor_spd_matches_inline_cholesky():
              (K3, 1e-6, rng.standard_normal((60, 4))),
              (K3, 1e-6, rng.standard_normal(60))]
     for K, shift, B in cases:
-        before = K.copy()
-        factor = factor_spd(K, shift)
+        factor = _factor(K, shift)
         assert factor.escalation == 0.0
         assert np.array_equal(factor.solve(B), _inline_cholesky_solve(K, shift, B))
-        assert np.array_equal(K, before)
 
 
 def test_factor_spd_ignores_the_strict_lower_triangle():
-    # like potrf, factor_spd neither reads nor checks K[i, j] for i > j: a NaN or inf there
+    # like potrf, the factor neither reads nor checks K[i, j] for i > j: a NaN or inf there
     # is no error, and the factor and solves are those of the clean matrix
     rng = np.random.default_rng(12)
     K = _alpha3_gram(rng)
     below = np.tril_indices_from(K, -1)
     noise = rng.uniform(-1e3, 1e3, below[0].size)
     B = rng.standard_normal((60, 3))
-    first = factor_spd(K, 1e-6)
+    first = _factor(K, 1e-6)
     for fill in (noise, np.nan, np.inf, -np.inf):
         other = K.copy()
         other[below] = fill
-        second = factor_spd(other, 1e-6)
+        second = _factor(other, 1e-6)
         assert first.factor[1] and second.factor[1]  # lower: cho_factor wrote the lower triangle
         assert np.array_equal(np.tril(first.factor[0]), np.tril(second.factor[0]))
         assert np.array_equal(first.solve(B), second.solve(B))
@@ -637,24 +639,24 @@ def test_factor_spd_of_a_symmetric_matrix_matches_its_symmetric_part():
     B = kernel_matrix(np.linspace(-1, 1, 512)[:, None], X, spec).T
     for K in (kernel_matrix(X, X, spec), ens.scaling * (F @ F.T)):
         assert np.array_equal(K, K.T)
-        factor = factor_spd(K, 1e-10)
+        factor = _factor(K, 1e-10)
         cf = sla.cho_factor(0.5 * (K + K.T) + 1e-10 * np.eye(20), lower=True)
         assert np.array_equal(np.tril(factor.factor[0]), np.tril(cf[0]))
         assert np.array_equal(factor.solve(B), sla.cho_solve(cf, B))
 
 
 def test_factor_spd_escalates_and_fit_reports_the_rung():
-    assert factor_spd(np.eye(4)).escalation == 0.0
-    rung = factor_spd(np.ones((5, 5))).escalation
+    assert _factor(np.eye(4)).escalation == 0.0
+    rung = _factor(np.ones((5, 5))).escalation
     assert rung in JITTER_LADDER
     # five copies of one point: K = k(0, 0) * ones = 0.5 * ones, singular
     spec = KernelSpec(0, 1, 1.0)
     X = np.zeros((5, 1))
-    rung_half = factor_spd(kernel_matrix(X, X, spec)).escalation
+    rung_half = _factor(kernel_matrix(X, X, spec)).escalation
     assert rung_half in JITTER_LADDER
     assert fit_dual(X, np.ones(5), spec).jitter_used == rung_half
     model = fit_dual(X, np.ones(5), spec, FitConfig(jitter=1e-13))
-    assert model.jitter_used == 1e-13 + factor_spd(kernel_matrix(X, X, spec), 1e-13).escalation
+    assert model.jitter_used == 1e-13 + _factor(kernel_matrix(X, X, spec), 1e-13).escalation
 
 
 @pytest.mark.parametrize("R, rung", [(10.0, 1e-9), (30.0, 1e-6)])
@@ -668,12 +670,59 @@ def test_fit_dual_escalates_on_a_restored_gram(R, rung):
     X = np.vstack([X, X[:10]])
     y = rng.standard_normal(40)
     K = kernel_matrix(X, X, spec)
-    factor = factor_spd(K)
+    factor = _factor(K)
     assert factor.escalation == rung
     model = fit_dual(X, y, spec)
     assert model.jitter_used == rung
     assert np.array_equal(model.dual_coeffs, factor.solve(y))
     assert np.array_equal(model.dual_coeffs, _inline_cholesky_solve(K, rung, y))
+
+
+@pytest.mark.parametrize("jitter", [1e-300, 1e-20])
+@pytest.mark.parametrize("alpha, d", [(1, 2), (3, 3)])
+def test_fit_constrained_spline_escalates_on_a_restored_kernel(alpha, d, jitter):
+    # ten repeated points make the projected kernel M singular on their differences, which
+    # lie in the null space of Phi^T: the jittered factor fails, and the 1e-12 rung is
+    # retried on the triangle the dsyr2k update wrote, restored from the mirror
+    rng = np.random.default_rng(93)
+    spec = KernelSpec(alpha, d, 1.0)
+    X = rng.uniform(-0.7, 0.7, (30, d))
+    X = np.vstack([X, X[:10]])
+    n = len(X)
+    y = rng.standard_normal(n)
+    model = fit_constrained_spline(X, y, spec, FitConfig(mode="constrained_spline", jitter=jitter))
+    shift = jitter + JITTER_LADDER[0]
+    assert model.jitter_used == shift
+    # the saddle solve forms its own K, so agreement is up to conditioning: ||M + shift I||_2
+    # is at most 2 n max|K| and its smallest eigenvalue, on the repeated-point differences,
+    # is shift, so a backward-stable solve is within kappa eps of the exact coefficients
+    # (measured: 3.5e-6 to 2.3e-5 relative, kappa eps 8.1e-4 to 1.3e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", sla.LinAlgWarning)
+        lam, nu = saddle_solve(X, y, spec, shift)
+    kappa = 2 * n * np.max(np.abs(distance_kernel_matrix(X, X, spec))) / shift
+    for got, want in [(model.dual_coeffs, lam), (model.poly_coeffs, nu)]:
+        assert np.max(np.abs(got - want)) <= kappa * np.finfo(float).eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("jitter", [0.0, 1e-20])
+@pytest.mark.parametrize("kind", ["nn", "fourier"])
+def test_fit_primal_escalates_on_a_restored_gram(kind, jitter):
+    # six copies of one point: K_hat is a multiple of the ones matrix, so the jittered
+    # factor fails, and the rung's factor is the one of K_hat itself plus the rung, bit for bit
+    spec = KernelSpec(1, 2, 1.0) if kind == "nn" else KernelSpec(0, 1, 1.0)
+    sample = sample_nn_ensemble if kind == "nn" else sample_fourier_ensemble
+    ens = sample(spec, 16, RngStream(5))
+    X = np.full((6, spec.d), 0.3)
+    y = np.random.default_rng(94).standard_normal(6)
+    model = fit_primal(X, y, ens, FitConfig(jitter=jitter))
+    shift = jitter + JITTER_LADDER[0]
+    assert model.jitter_used == shift
+    F = ens.features(X)
+    K_hat = ens.scaling * (F @ F.T)
+    assert np.array_equal(K_hat, K_hat[0, 0] * np.ones((6, 6)))
+    eta = ens.scaling * (F.T @ _inline_cholesky_solve(K_hat, shift, y))
+    assert np.array_equal(model.feature_weights, eta)
 
 
 def test_factor_spd_condition_estimate_reads_the_restored_matrix():
@@ -685,16 +734,16 @@ def test_factor_spd_condition_estimate_reads_the_restored_matrix():
     ev = np.abs(np.linalg.eigvalsh(_mirrored(K) + top * np.eye(4)))
     message = f"condition estimate {ev.max() / ev.min():.3e}"
     with pytest.raises(IllConditionedError, match=re.escape(message)):
-        factor_spd(K, 1e-3)
+        _factor(K, 1e-3)
 
 
 def test_factor_spd_rejects_bad_matrices():
     with pytest.raises(IllConditionedError):
-        factor_spd(-np.eye(3))
+        _factor(-np.eye(3))
     K = np.eye(3)
     K[0, 2] = np.nan
     with pytest.raises(ValueError) as exc:
-        factor_spd(K)
+        _factor(K)
     assert not isinstance(exc.value, IllConditionedError)
     # on or above the diagonal, in the first band of rows the mirror checks, a middle one and
     # the last, short one
@@ -702,13 +751,11 @@ def test_factor_spd_rejects_bad_matrices():
         K = np.eye(300)
         K[i, j] = bad
         with pytest.raises(ValueError, match="non-finite") as exc:
-            factor_spd(K)
+            _factor(K)
         assert not isinstance(exc.value, IllConditionedError)
-    with pytest.raises(ValueError):
-        factor_spd(np.ones((1, 5)))
     for shift in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError) as exc:
-            factor_spd(np.eye(3), shift)
+            _factor(np.eye(3), shift)
         assert not isinstance(exc.value, IllConditionedError)
 
 
